@@ -31,8 +31,9 @@ pub enum ExecEnv {
     /// The full simulated Linux kernel.
     #[default]
     Linux,
-    /// A kernel restricted to an OS support profile.
-    Restricted(KernelProfile),
+    /// A kernel restricted to an OS support profile (boxed: a profile
+    /// carries several inline syscall bitmaps).
+    Restricted(Box<KernelProfile>),
 }
 
 impl ExecEnv {
@@ -53,7 +54,7 @@ impl ExecEnv {
         match self {
             ExecEnv::Linux => HostKernel::Linux(sim),
             ExecEnv::Restricted(profile) => {
-                HostKernel::Restricted(RestrictedKernel::new(sim, profile.clone()))
+                HostKernel::Restricted(RestrictedKernel::new(sim, KernelProfile::clone(profile)))
             }
         }
     }
@@ -173,7 +174,7 @@ mod tests {
     #[test]
     fn empty_restricted_env_fails_real_apps() {
         let app = registry::find("redis").unwrap();
-        let env = ExecEnv::Restricted(KernelProfile::new("bare-metal", SysnoSet::new()));
+        let env = ExecEnv::Restricted(Box::new(KernelProfile::new("bare-metal", SysnoSet::new())));
         let outcome = run_app(&env, app.as_ref(), Workload::HealthCheck);
         let verdict = TestScript::new().evaluate(&outcome, Workload::HealthCheck, None);
         assert!(!verdict.success, "no syscalls, no service");
@@ -183,7 +184,7 @@ mod tests {
     fn restricted_env_with_full_surface_matches_linux() {
         let app = registry::find("hello-musl-static").unwrap();
         let full: SysnoSet = Sysno::all().collect();
-        let env = ExecEnv::Restricted(KernelProfile::new("everything", full));
+        let env = ExecEnv::Restricted(Box::new(KernelProfile::new("everything", full)));
         let restricted = run_app(&env, app.as_ref(), Workload::HealthCheck);
         let linux = run_app(&ExecEnv::Linux, app.as_ref(), Workload::HealthCheck);
         assert_eq!(restricted, linux, "a full profile is transparent");
@@ -196,7 +197,7 @@ mod tests {
         let (_, obs) = run_app_observed(&ExecEnv::Linux, app.as_ref(), Workload::HealthCheck);
         assert!(obs.is_none());
         // An empty profile rejects the very first syscall the app makes.
-        let env = ExecEnv::Restricted(KernelProfile::new("bare", SysnoSet::new()));
+        let env = ExecEnv::Restricted(Box::new(KernelProfile::new("bare", SysnoSet::new())));
         let (outcome, obs) = run_app_observed(&env, app.as_ref(), Workload::HealthCheck);
         let obs = obs.expect("restricted runs observe");
         assert!(obs.total_rejections() > 0, "{obs:?}");
@@ -211,10 +212,10 @@ mod tests {
     #[test]
     fn exec_env_serde_roundtrip_and_default() {
         assert_eq!(ExecEnv::default(), ExecEnv::Linux);
-        let env = ExecEnv::Restricted(KernelProfile::new(
+        let env = ExecEnv::Restricted(Box::new(KernelProfile::new(
             "kerla",
             [Sysno::read, Sysno::write].into_iter().collect(),
-        ));
+        )));
         let json = serde_json::to_string(&env).unwrap();
         let back: ExecEnv = serde_json::from_str(&json).unwrap();
         assert_eq!(env, back);

@@ -1612,6 +1612,33 @@ mod tests {
     }
 
     #[test]
+    fn out_of_table_syscall_numbers_are_corrupt_entries() {
+        let dir = tmpdir("hostile-sysno");
+        let report = sample_report();
+        Database::open(&dir).unwrap().save(&report).unwrap();
+        let path = dir.join(&report.app).join("health.json");
+        let text = fs::read_to_string(&path).unwrap();
+        // One out-of-table number in a syscall set, then as a map key.
+        let first_key = report.traced.keys().next().unwrap().raw();
+        for hostile in [
+            text.replacen("\"fallbacks\": []", "\"fallbacks\": [0, 9999]", 1),
+            text.replacen(&format!("\"{first_key}\":"), "\"9999\":", 1),
+        ] {
+            assert_ne!(hostile, text, "the edit applies");
+            fs::write(&path, hostile).unwrap();
+            let err = Database::open(&dir)
+                .unwrap()
+                .load(&report.app, Workload::HealthCheck)
+                .unwrap_err();
+            assert!(
+                matches!(&err, DbError::Corrupt { message, .. } if message.contains("9999")),
+                "{err}"
+            );
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn suite_namespace_roundtrips_and_stays_segregated() {
         let dir = tmpdir("suites");
         let db = Database::open(&dir).unwrap();

@@ -276,7 +276,7 @@ pub fn measure_cell(
             // spurious "first rejection" to the profile).
             return TierOutcome::default();
         }
-        let env = ExecEnv::Restricted(profile);
+        let env = ExecEnv::Restricted(Box::new(profile));
         let (outcome, obs) = run_app_observed(&env, app, workload);
         let pass = script
             .evaluate(&outcome, workload, baseline_features)

@@ -11,6 +11,7 @@
 use loupe_syscalls::{SubFeatureKey, Sysno, SysnoSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A syscall-support descriptor for one OS.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -457,6 +458,22 @@ fn with_holes(mut spec: OsSpec, holes: &[(&str, &[&str])]) -> OsSpec {
 
 /// Curated support specs for the 11 OSes of §4.1, sized per the paper.
 pub fn db() -> Vec<OsSpec> {
+    table().to_vec()
+}
+
+/// Looks up one of the curated specs by name.
+pub fn find(name: &str) -> Option<OsSpec> {
+    table().iter().find(|o| o.name == name).cloned()
+}
+
+/// The curated specs, built once per process: deriving them re-walks the
+/// popularity table and re-parses the vendored kerla snapshot.
+fn table() -> &'static [OsSpec] {
+    static TABLE: OnceLock<Vec<OsSpec>> = OnceLock::new();
+    TABLE.get_or_init(build)
+}
+
+fn build() -> Vec<OsSpec> {
     use Sysno as S;
     vec![
         // Unikraft commit 7d6707f: 174 syscalls, with the Table 1 gaps
@@ -558,11 +575,6 @@ pub fn db() -> Vec<OsSpec> {
     ]
 }
 
-/// Looks up one of the curated specs by name.
-pub fn find(name: &str) -> Option<OsSpec> {
-    db().into_iter().find(|o| o.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,6 +610,16 @@ mod tests {
         // The minimal layer is (nearly) contained in the mature one.
         let overlap = kerla.supported.intersection(&unikraft.supported);
         assert!(overlap.len() >= kerla.supported.len() - 4);
+    }
+
+    #[test]
+    fn find_returns_the_curated_entry() {
+        let all = db();
+        assert_eq!(all.len(), 11);
+        for spec in &all {
+            assert_eq!(find(&spec.name).as_ref(), Some(spec), "{}", spec.name);
+        }
+        assert_eq!(find("not-an-os"), None);
     }
 
     #[test]

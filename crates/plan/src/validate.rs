@@ -263,7 +263,7 @@ impl PlanValidator {
                 .filter(|k| holes.contains(k))
                 .copied()
                 .collect();
-            let env = ExecEnv::Restricted(profile);
+            let env = ExecEnv::Restricted(Box::new(profile));
             initial.push(InitialVerdict {
                 app: name.clone(),
                 passes: self.passes(&env, app.as_ref(), workload),
@@ -293,7 +293,7 @@ impl PlanValidator {
 
             let app = find(&step.unlocks)?;
             let unlocked = self.passes(
-                &ExecEnv::Restricted(cumulative.clone()),
+                &ExecEnv::Restricted(Box::new(cumulative.clone())),
                 app.as_ref(),
                 workload,
             );
@@ -306,8 +306,13 @@ impl PlanValidator {
                 || !step.fake.is_empty()
                 || !step.implement_flags.is_empty()
                 || !step.fake_flags.is_empty();
-            let locked_before = adds_behaviour
-                .then(|| !self.passes(&ExecEnv::Restricted(previous), app.as_ref(), workload));
+            let locked_before = adds_behaviour.then(|| {
+                !self.passes(
+                    &ExecEnv::Restricted(Box::new(previous)),
+                    app.as_ref(),
+                    workload,
+                )
+            });
             steps.push(StepVerdict {
                 index: step.index,
                 app: step.unlocks.clone(),

@@ -197,7 +197,7 @@ proptest! {
         let mut passes = (0usize, 0usize);
         for app in registry::detailed().into_iter().take(6) {
             let run = |surface: &SysnoSet| {
-                let env = ExecEnv::Restricted(KernelProfile::new("prop", surface.clone()));
+                let env = ExecEnv::Restricted(Box::new(KernelProfile::new("prop", surface.clone())));
                 let outcome = run_app(&env, app.as_ref(), workload);
                 script.evaluate(&outcome, workload, None).success
             };
@@ -325,7 +325,7 @@ proptest! {
         let mut passes = (0usize, 0usize);
         for app in registry::detailed().into_iter().take(8) {
             let run = |spec: &loupe_plan::OsSpec| {
-                let env = ExecEnv::Restricted(vanilla_profile(spec));
+                let env = ExecEnv::Restricted(Box::new(vanilla_profile(spec)));
                 let outcome = run_app(&env, app.as_ref(), workload);
                 script.evaluate(&outcome, workload, None).success
             };

@@ -728,7 +728,9 @@ mod tests {
             workloads: vec![Workload::HealthCheck],
             workers: 1,
             analysis: AnalysisConfig {
-                exec_env: loupe_core::ExecEnv::Restricted(KernelProfile::new("mid-plan", full)),
+                exec_env: loupe_core::ExecEnv::Restricted(Box::new(KernelProfile::new(
+                    "mid-plan", full,
+                ))),
                 ..AnalysisConfig::fast()
             },
             ..SweepConfig::default()

@@ -15,7 +15,7 @@ use loupe_apps::Workload;
 use loupe_core::AppReport;
 use loupe_db::{Database, DbError};
 use loupe_gentests::{CaseExpectation, ConformanceSuite};
-use loupe_plan::{os, MatrixCell, PlanValidation, SupportPlan, Tier};
+use loupe_plan::{os, MatrixCell, OsSpec, PlanValidation, SupportPlan, Tier};
 use loupe_syscalls::SysnoSet;
 
 use crate::{matrix, FleetStats};
@@ -505,10 +505,14 @@ pub fn render_conformance(suites: &[ConformanceSuite]) -> String {
     let mut workloads: Vec<Workload> = suites.iter().map(|s| s.workload).collect();
     workloads.sort_by_key(|w| w.label());
     workloads.dedup();
+    let mut specs: BTreeMap<&str, Option<OsSpec>> = BTreeMap::new();
     for workload in workloads {
         let mut rows: BTreeMap<&str, Row> = BTreeMap::new();
         for suite in suites.iter().filter(|s| s.workload == workload) {
-            let Some(spec) = os::find(&suite.os) else {
+            let Some(spec) = specs
+                .entry(suite.os.as_str())
+                .or_insert_with(|| os::find(&suite.os))
+            else {
                 continue;
             };
             let row = rows.entry(suite.os.as_str()).or_insert_with(|| Row {
@@ -528,13 +532,13 @@ pub fn render_conformance(suites: &[ConformanceSuite]) -> String {
                 .iter()
                 .filter(|c| c.expectation == CaseExpectation::ImplementedOrFaked)
                 .count();
-            row.vanilla_pass += usize::from(suite.verdict(&spec, Tier::Vanilla));
-            row.planned_pass += usize::from(suite.verdict(&spec, Tier::Planned));
+            row.vanilla_pass += usize::from(suite.verdict(spec, Tier::Vanilla));
+            row.planned_pass += usize::from(suite.verdict(spec, Tier::Planned));
             let has_expectation =
                 suite.expected.vanilla.is_some() || suite.expected.planned.is_some();
             if has_expectation {
                 row.expected += 1;
-                row.agree += usize::from(suite.disagreements(&spec).is_empty());
+                row.agree += usize::from(suite.disagreements(spec).is_empty());
             }
         }
         let mut rows: Vec<Row> = rows.into_values().collect();

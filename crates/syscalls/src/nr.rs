@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 macro_rules! syscall_table {
     ($(($nr:expr, $name:ident)),* $(,)?) => {
@@ -405,7 +405,7 @@ syscall_table![
 /// ```
 ///
 /// [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Sysno(u32);
 
@@ -496,6 +496,16 @@ impl fmt::Display for Sysno {
     }
 }
 
+/// Accepts only numbers in the table, so a hostile or corrupt stored
+/// artifact is rejected at load instead of panicking in [`Sysno::name`].
+impl Deserialize for Sysno {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let nr = u32::from_value(v)?;
+        Sysno::from_raw(nr)
+            .ok_or_else(|| serde::Error::custom(format!("unknown system call number {nr}")))
+    }
+}
+
 /// Error returned when parsing a [`Sysno`] from an unknown name or number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseSysnoError {
@@ -523,10 +533,17 @@ impl FromStr for Sysno {
     }
 }
 
+/// Number of 64-bit words in a [`SysnoSet`]: 512 bits, above the table's
+/// highest number (448).
+const WORDS: usize = 8;
+
+const _: () = assert!(TABLE[TABLE.len() - 1].0 < (WORDS * 64) as u32);
+
 /// An ordered set of system calls.
 ///
-/// Thin wrapper around `BTreeSet<Sysno>` with the conversions and set
-/// algebra the planner needs.
+/// A fixed 512-bit bitmap indexed by syscall number, so membership and
+/// the set algebra the planner runs in its inner loop are word-wise and
+/// never allocate. It serialises as the ascending array of raw numbers.
 ///
 /// # Examples
 ///
@@ -540,9 +557,8 @@ impl FromStr for Sysno {
 /// assert_eq!(set.len(), 3);
 /// assert!(set.contains(Sysno::openat));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct SysnoSet(BTreeSet<Sysno>);
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct SysnoSet([u64; WORDS]);
 
 impl SysnoSet {
     /// Creates an empty set.
@@ -550,98 +566,159 @@ impl SysnoSet {
         SysnoSet::default()
     }
 
+    fn slot(s: Sysno) -> (usize, u64) {
+        (s.0 as usize / 64, 1 << (s.0 % 64))
+    }
+
+    fn zip(&self, other: &SysnoSet, op: impl Fn(u64, u64) -> u64) -> SysnoSet {
+        SysnoSet(std::array::from_fn(|i| op(self.0[i], other.0[i])))
+    }
+
     /// Number of syscalls in the set.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.iter().all(|&w| w == 0)
     }
 
     /// Inserts a syscall; returns `true` if it was not already present.
     pub fn insert(&mut self, s: Sysno) -> bool {
-        self.0.insert(s)
+        let (word, bit) = Self::slot(s);
+        let absent = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        absent
     }
 
     /// Removes a syscall; returns `true` if it was present.
     pub fn remove(&mut self, s: Sysno) -> bool {
-        self.0.remove(&s)
+        let (word, bit) = Self::slot(s);
+        let present = self.0[word] & bit != 0;
+        self.0[word] &= !bit;
+        present
     }
 
     /// Whether the set contains `s`.
     pub fn contains(&self, s: Sysno) -> bool {
-        self.0.contains(&s)
+        let (word, bit) = Self::slot(s);
+        self.0[word] & bit != 0
     }
 
     /// Iterates in ascending numeric order.
-    pub fn iter(&self) -> impl Iterator<Item = Sysno> + '_ {
-        self.0.iter().copied()
+    pub fn iter(&self) -> Iter {
+        Iter {
+            words: self.0,
+            word: 0,
+        }
     }
 
     /// Set union.
     pub fn union(&self, other: &SysnoSet) -> SysnoSet {
-        SysnoSet(self.0.union(&other.0).copied().collect())
+        self.zip(other, |a, b| a | b)
     }
 
     /// Set intersection.
     pub fn intersection(&self, other: &SysnoSet) -> SysnoSet {
-        SysnoSet(self.0.intersection(&other.0).copied().collect())
+        self.zip(other, |a, b| a & b)
     }
 
     /// Elements of `self` not in `other`.
     pub fn difference(&self, other: &SysnoSet) -> SysnoSet {
-        SysnoSet(self.0.difference(&other.0).copied().collect())
+        self.zip(other, |a, b| a & !b)
     }
 
     /// Whether `self` is a subset of `other`.
     pub fn is_subset(&self, other: &SysnoSet) -> bool {
-        self.0.is_subset(&other.0)
+        self.0.iter().zip(&other.0).all(|(a, b)| a & !b == 0)
     }
+}
 
-    /// Inner set, borrowed.
-    pub fn as_btree(&self) -> &BTreeSet<Sysno> {
-        &self.0
-    }
+/// Ascending iterator over a [`SysnoSet`], returned by [`SysnoSet::iter`]
+/// and both `IntoIterator` impls.
+#[derive(Debug, Clone)]
+pub struct Iter {
+    words: [u64; WORDS],
+    word: usize,
+}
 
-    /// Consumes the wrapper and returns the inner set.
-    pub fn into_inner(self) -> BTreeSet<Sysno> {
-        self.0
+impl Iterator for Iter {
+    type Item = Sysno;
+
+    fn next(&mut self) -> Option<Sysno> {
+        while self.word < WORDS {
+            let w = &mut self.words[self.word];
+            if *w != 0 {
+                let bit = w.trailing_zeros();
+                *w &= *w - 1;
+                return Some(Sysno(self.word as u32 * 64 + bit));
+            }
+            self.word += 1;
+        }
+        None
     }
 }
 
 impl FromIterator<Sysno> for SysnoSet {
     fn from_iter<T: IntoIterator<Item = Sysno>>(iter: T) -> Self {
-        SysnoSet(iter.into_iter().collect())
+        let mut set = SysnoSet::new();
+        set.extend(iter);
+        set
     }
 }
 
 impl Extend<Sysno> for SysnoSet {
     fn extend<T: IntoIterator<Item = Sysno>>(&mut self, iter: T) {
-        self.0.extend(iter)
+        for s in iter {
+            self.insert(s);
+        }
     }
 }
 
 impl IntoIterator for SysnoSet {
     type Item = Sysno;
-    type IntoIter = std::collections::btree_set::IntoIter<Sysno>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+    type IntoIter = Iter;
+    fn into_iter(self) -> Iter {
+        self.iter()
     }
 }
 
-impl<'a> IntoIterator for &'a SysnoSet {
-    type Item = &'a Sysno;
-    type IntoIter = std::collections::btree_set::Iter<'a, Sysno>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+impl IntoIterator for &SysnoSet {
+    type Item = Sysno;
+    type IntoIter = Iter;
+    fn into_iter(self) -> Iter {
+        self.iter()
     }
 }
 
 impl From<BTreeSet<Sysno>> for SysnoSet {
     fn from(set: BTreeSet<Sysno>) -> Self {
-        SysnoSet(set)
+        set.into_iter().collect()
+    }
+}
+
+impl Serialize for SysnoSet {
+    fn to_value(&self) -> Value {
+        Value::Seq(self.iter().map(|s| s.to_value()).collect())
+    }
+}
+
+impl Deserialize for SysnoSet {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Vec::<Sysno>::from_value(v)?.into_iter().collect())
+    }
+}
+
+impl fmt::Debug for SysnoSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Members<'a>(&'a SysnoSet);
+        impl fmt::Debug for Members<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_tuple("SysnoSet").field(&Members(self)).finish()
     }
 }
 
@@ -649,7 +726,7 @@ impl fmt::Display for SysnoSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         write!(f, "{{")?;
-        for s in &self.0 {
+        for s in self {
             if !first {
                 write!(f, ", ")?;
             }
@@ -782,6 +859,27 @@ mod tests {
         let json = serde_json::to_string(&set).unwrap();
         let back: SysnoSet = serde_json::from_str(&json).unwrap();
         assert_eq!(set, back);
+    }
+
+    #[test]
+    fn out_of_table_numbers_are_rejected_at_load() {
+        assert!(serde_json::from_str::<Sysno>("9999").is_err());
+        assert!(
+            serde_json::from_str::<Sysno>("335").is_err(),
+            "gap in the table"
+        );
+        let err = serde_json::from_str::<SysnoSet>("[0, 9999]").unwrap_err();
+        assert!(err.to_string().contains("9999"), "{err}");
+        assert_eq!(
+            serde_json::from_str::<SysnoSet>("[0, 448]").unwrap().len(),
+            2
+        );
+    }
+
+    #[test]
+    fn debug_lists_members() {
+        let set: SysnoSet = [Sysno::mmap, Sysno::read].into_iter().collect();
+        assert_eq!(format!("{set:?}"), "SysnoSet({Sysno(0), Sysno(9)})");
     }
 
     #[test]

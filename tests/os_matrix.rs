@@ -38,7 +38,7 @@ fn kerla_profile_run_of_redis_surfaces_boundary_counters() {
     let has_fakes = !profile.faked.is_empty();
 
     let report = Engine::new(AnalysisConfig {
-        exec_env: ExecEnv::Restricted(profile),
+        exec_env: ExecEnv::Restricted(Box::new(profile)),
         ..AnalysisConfig::fast()
     })
     .analyze(redis.as_ref(), workload)
