@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use loupe_apps::Workload;
-use loupe_db::Database;
+use loupe_db::{store, Database};
 use loupe_plan::{os, MatrixCell, TierOutcome};
 use loupe_serve::{Client, Request, ServeConfig, Server};
 use loupe_syscalls::SysnoSet;
@@ -29,22 +29,25 @@ fn populate(dir: &PathBuf) {
         for (j, app) in apps.iter().enumerate() {
             for workload in [Workload::HealthCheck, Workload::Benchmark] {
                 let pass = (i + j) % 2 == 0;
-                db.save_matrix_cell_replacing(&MatrixCell {
-                    os: spec.name.clone(),
-                    app: app.clone(),
-                    workload,
-                    linux_pass: true,
-                    missing_required: SysnoSet::new(),
-                    vanilla: Some(TierOutcome {
-                        pass,
-                        ..TierOutcome::default()
-                    }),
-                    planned: Some(TierOutcome {
-                        pass,
-                        ..TierOutcome::default()
-                    }),
-                    missing_required_flags: Vec::new(),
-                })
+                db.put_replacing(
+                    &store::MATRIX,
+                    &MatrixCell {
+                        os: spec.name.clone(),
+                        app: app.clone(),
+                        workload,
+                        linux_pass: true,
+                        missing_required: SysnoSet::new(),
+                        vanilla: Some(TierOutcome {
+                            pass,
+                            ..TierOutcome::default()
+                        }),
+                        planned: Some(TierOutcome {
+                            pass,
+                            ..TierOutcome::default()
+                        }),
+                        missing_required_flags: Vec::new(),
+                    },
+                )
                 .expect("seed cell");
             }
         }
@@ -97,7 +100,7 @@ fn bench_startup(c: &mut Criterion) {
     populate(&dir);
     // Materialise the binary snapshots (written on first bulk load).
     Database::open(&dir)
-        .and_then(|db| db.load_matrix())
+        .and_then(|db| db.load_all(&store::MATRIX))
         .expect("materialise snapshot");
     assert!(dir.join("index").is_dir(), "snapshot index exists");
 

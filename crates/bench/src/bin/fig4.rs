@@ -7,7 +7,7 @@
 
 use loupe_apps::{registry, Workload};
 use loupe_core::{AnalysisConfig, Engine};
-use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
+use loupe_static::{GraphAnalyzer, Level, StaticAnalyzer};
 
 const APPS: &[&str] = &[
     "redis",
@@ -23,8 +23,8 @@ fn main() {
     println!("# Figure 4 — syscalls per analysis method (7 apps)\n");
     println!("app,workload,static_source,static_binary,dyn_traced,dyn_stubbable,dyn_fakeable,dyn_any,dyn_required");
     let engine = Engine::new(AnalysisConfig::fast());
-    let src = SourceAnalyzer::new();
-    let bin = BinaryAnalyzer::new();
+    let src = GraphAnalyzer::new(Level::L3);
+    let bin = GraphAnalyzer::new(Level::L0);
 
     for name in APPS {
         let app = registry::find(name).expect("deep-dive app");

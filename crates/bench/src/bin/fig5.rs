@@ -7,7 +7,7 @@
 
 use loupe_apps::{registry, Workload};
 use loupe_core::{AnalysisConfig, Engine};
-use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
+use loupe_static::{GraphAnalyzer, Level, StaticAnalyzer};
 use loupe_syscalls::SysnoSet;
 
 const APPS: &[&str] = &[
@@ -43,8 +43,8 @@ fn main() {
     let mut required = Vec::new();
     for name in APPS {
         let app = registry::find(name).expect("deep-dive app");
-        binary.push(BinaryAnalyzer::new().analyze(app.as_ref()).syscalls);
-        source.push(SourceAnalyzer::new().analyze(app.as_ref()).syscalls);
+        binary.push(GraphAnalyzer::new(Level::L0).analyze(app.as_ref()).syscalls);
+        source.push(GraphAnalyzer::new(Level::L3).analyze(app.as_ref()).syscalls);
         let report = engine
             .analyze(app.as_ref(), Workload::Benchmark)
             .expect("baseline passes");

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use loupe_apps::{registry, Workload};
-use loupe_db::Database;
+use loupe_db::{store, Database};
 use loupe_plan::{os, MatrixCell, Tier, TierOutcome};
 use loupe_serve::{CellQuery, Client, Request, ServeConfig, Server};
 use loupe_syscalls::{Sysno, SysnoSet};
@@ -103,7 +103,7 @@ fn populate_synthetic(dir: &Path) {
                     }),
                     missing_required_flags: Vec::new(),
                 };
-                db.save_matrix_cell_replacing(&cell).expect("seed cell");
+                db.put_replacing(&store::MATRIX, &cell).expect("seed cell");
             }
         }
     }
@@ -225,7 +225,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// Replays every stored matrix cell at both tiers through the wire
 /// protocol; any disagreement with the database is a hard failure.
 fn cross_check(addr: std::net::SocketAddr, db: &Database) -> usize {
-    let cells = db.load_matrix().expect("load matrix");
+    let cells = db.load_all(&store::MATRIX).expect("load matrix");
     let mut client = Client::connect(addr).expect("check connect");
     client.set_timeout(Duration::from_secs(60)).unwrap();
     let mut checked = 0;
@@ -394,7 +394,7 @@ fn main() {
     let addr = server.local_addr();
 
     let db = Database::open(&root).expect("open db");
-    let cells = db.load_matrix().expect("load matrix");
+    let cells = db.load_all(&store::MATRIX).expect("load matrix");
     let mut oses: Vec<String> = cells.iter().map(|c| c.os.clone()).collect();
     let mut apps: Vec<String> = cells.iter().map(|c| c.app.clone()).collect();
     oses.sort();

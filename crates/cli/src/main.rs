@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 use loupe_apps::{registry, Workload};
 use loupe_core::{AnalysisConfig, Engine};
-use loupe_db::Database;
+use loupe_db::{store, Database};
 use loupe_plan::{api_importance, os, AppRequirement, CompatTable, SupportPlan};
 use loupe_sweep::{report, Sweep, SweepConfig, TransferConfig};
 
@@ -324,7 +324,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
     if let Some(dir) = flag_value(args, "--db") {
         let db = Database::open(dir).map_err(|e| e.to_string())?;
-        db.save(&report).map_err(|e| e.to_string())?;
+        db.put(store::reports(&report.env), &report)
+            .map_err(|e| e.to_string())?;
         // Record what the measurement depended on, so a later `loupe
         // sweep` over an unchanged app serves this report from cache.
         if report.is_linux_baseline() {
@@ -580,11 +581,13 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     // counterparts (pure cache hits when `sweep --static` already ran).
     // A measured app the registry no longer knows cannot be statically
     // analysed at all — name it instead of wedging on MissingStatic.
+    // Baseline keys are `app/workload`.
     let measured: std::collections::BTreeSet<String> = db
-        .list()
+        .keys(&store::BASELINES)
         .map_err(|e| e.to_string())?
-        .into_iter()
-        .map(|(app, _)| app)
+        .iter()
+        .filter_map(|key| key.split('/').next())
+        .map(str::to_owned)
         .collect();
     let unknown: Vec<&str> = measured
         .iter()
@@ -758,7 +761,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
     let docs_dir = std::path::Path::new(flag_value(args, "--docs").unwrap_or("docs"));
-    if db.list().map_err(|e| e.to_string())?.is_empty() {
+    if db
+        .keys(&store::BASELINES)
+        .map_err(|e| e.to_string())?
+        .is_empty()
+    {
         return Err(format!(
             "report: database `{db_dir}` is empty; run `loupe sweep` first"
         ));
@@ -873,19 +880,14 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
     }
     if let Some(out_dir) = flag_value(args, "--out") {
         let mut exported = 0;
-        for (os_name, app, workload) in db.list_suites().map_err(|e| e.to_string())? {
-            let Some(suite) = db
-                .load_suite(&os_name, &app, workload)
-                .map_err(|e| e.to_string())?
-            else {
-                continue;
-            };
+        for suite in db.load_all(&store::SUITES).map_err(|e| e.to_string())? {
             let dir = std::path::Path::new(out_dir)
-                .join(&os_name)
-                .join(workload.label());
+                .join(&suite.os)
+                .join(suite.workload.label());
             std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
             let json = serde_json::to_string_pretty(&suite).map_err(|e| e.to_string())?;
-            std::fs::write(dir.join(format!("{app}.json")), json).map_err(|e| e.to_string())?;
+            std::fs::write(dir.join(format!("{}.json", suite.app)), json)
+                .map_err(|e| e.to_string())?;
             exported += 1;
         }
         println!("exported {exported} suite files under {out_dir}");
@@ -1037,9 +1039,14 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     let engine = Engine::new(analysis.clone());
     let mut reqs = Vec::new();
     for app in &apps {
-        let cached = db
-            .as_ref()
-            .and_then(|db| db.load(app.name(), workload).ok().flatten());
+        let cached = db.as_ref().and_then(|db| {
+            db.get(
+                &store::BASELINES,
+                &loupe_db::baseline_key(app.name(), workload),
+            )
+            .ok()
+            .flatten()
+        });
         let report = match cached {
             Some(r) => r,
             None => {
@@ -1047,7 +1054,8 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
                     .analyze(app.as_ref(), workload)
                     .map_err(|e| e.to_string())?;
                 if let Some(db) = &db {
-                    db.save(&r).map_err(|e| e.to_string())?;
+                    db.put(store::reports(&r.env), &r)
+                        .map_err(|e| e.to_string())?;
                     if r.is_linux_baseline() {
                         db.record_provenance(
                             loupe_db::ns::BASELINES,
@@ -1072,7 +1080,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         print!("{}", validation.to_table());
         if let Some(db) = &db {
-            db.save_plan_validation(&validation)
+            db.put(&store::PLANS, &validation)
                 .map_err(|e| e.to_string())?;
             let mut inputs = std::collections::BTreeMap::new();
             inputs.insert("os".to_owned(), loupe_core::fingerprint_of(&spec));

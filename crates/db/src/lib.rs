@@ -3,10 +3,20 @@
 //!
 //! Results are final for a fixed build of the software, its workload and
 //! kernel, so they are worth persisting and sharing. This crate stores
-//! [`AppReport`]s as JSON files in a directory tree
-//! (`<root>/<app>/<workload>.json`), supports conservative merging of
-//! repeated measurements, and imports/exports OS support specs in the
-//! paper's one-syscall-per-line CSV form.
+//! every artifact the pipeline produces — baseline and restricted-env
+//! [`AppReport`]s, matrix cells, plan validations, static reports and
+//! conformance suites — as JSON files in a directory tree, one
+//! [`store::Namespace`] descriptor per kind (`<root>/<app>/<workload>.json`
+//! for baselines; the full layout is in [`store`]). One generic store
+//! serves every namespace: [`Database::put`] (merging per the
+//! namespace's policy — conservative for measurements, §3.1),
+//! [`Database::get`], [`Database::keys`] and [`Database::load_all`]. OS
+//! support specs are imported/exported in the paper's
+//! one-syscall-per-line CSV form.
+//!
+//! Every file is replaced atomically (temp file + rename), so a reader —
+//! or the next run after a `kill -9` — sees the old artifact or the new
+//! one, never a torn one.
 //!
 //! On top of the JSON tree sit two derived layers that make warm sweeps
 //! incremental and fast:
@@ -26,33 +36,43 @@
 //! # Examples
 //!
 //! ```
-//! use loupe_db::Database;
+//! use loupe_db::{store, Database};
 //!
 //! let dir = std::env::temp_dir().join("loupedb-doc-example");
 //! let db = Database::open(&dir).unwrap();
-//! assert!(db.list().unwrap().is_empty() || !db.list().unwrap().is_empty());
+//! assert!(db.keys(&store::MATRIX).unwrap().is_empty() || dir.is_dir());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use loupe_apps::Workload;
-use loupe_core::{fingerprint_of, AppReport, FeatureClass, Fingerprint, Impact, LINUX_ENV};
+use loupe_core::{fingerprint_of, AppReport, FeatureClass, Fingerprint, Impact};
 use loupe_gentests::ConformanceSuite;
-use loupe_plan::{AppRequirement, MatrixCell, OsSpec, PlanValidation};
+use loupe_plan::{MatrixCell, OsSpec, PlanValidation};
 use loupe_static::{Level, StaticReport};
 
 pub mod lock;
 pub mod manifest;
 pub mod snapshot;
+pub mod store;
 
 pub use lock::{FileLock, LOCK_FILE};
 pub use manifest::{ns, ArtifactRecord, CacheCounters, CacheStats, Manifest, MANIFEST_VERSION};
+pub use store::Namespace;
+
+/// What the generic store needs of an artifact type: cloneable and
+/// round-trippable through serde.
+pub trait Artifact: Clone + serde::Serialize + serde::Deserialize {}
+
+impl<T: Clone + serde::Serialize + serde::Deserialize> Artifact for T {}
 
 /// A directory-backed measurement database.
 ///
@@ -107,6 +127,15 @@ enum SlotState<T> {
     Decoded(u64, Arc<BTreeMap<String, T>>),
 }
 
+/// The snapshot slots of the namespaces that have a binary index (see
+/// [`store::Namespace`]).
+struct Slots {
+    baselines: SnapshotSlot<AppReport>,
+    matrix: SnapshotSlot<MatrixCell>,
+    suites: SnapshotSlot<ConformanceSuite>,
+    statics: SnapshotSlot<StaticReport>,
+}
+
 struct Shared {
     root: PathBuf,
     manifest: Mutex<ManifestState>,
@@ -116,10 +145,7 @@ struct Shared {
     /// Extended across processes by the advisory [`lock::FileLock`]
     /// taken with it (see [`Shared::lock_writers`]).
     write_lock: Mutex<()>,
-    baselines: SnapshotSlot<AppReport>,
-    matrix: SnapshotSlot<MatrixCell>,
-    suites: SnapshotSlot<ConformanceSuite>,
-    statics: SnapshotSlot<StaticReport>,
+    slots: Slots,
 }
 
 struct ManifestState {
@@ -266,23 +292,17 @@ impl Shared {
         if self.with_manifest(|s| !s.dirty) {
             return Ok(());
         }
-        // File lock before the manifest mutex (the writer ordering), and
-        // an atomic temp-file + rename so a concurrent reader — a serve
-        // daemon polling for generation changes — can never observe a
-        // torn manifest.
-        let _file = lock::FileLock::acquire(&self.root)?;
+        // Writers first, then the manifest mutex (the writer ordering);
+        // the atomic replace means a concurrent reader — a serve daemon
+        // polling for generation changes — never observes a torn
+        // manifest.
+        let _writer = self.lock_writers()?;
         let path = self.manifest_path();
         self.with_manifest(|s| {
             if !s.dirty {
                 return Ok(());
             }
-            let json = serde_json::to_string_pretty(&s.manifest).map_err(|e| DbError::Corrupt {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let tmp = path.with_extension("json.tmp");
-            fs::write(&tmp, json)?;
-            fs::rename(&tmp, &path)?;
+            write_atomic(&path, to_json(&path, &s.manifest)?.as_bytes())?;
             s.dirty = false;
             Ok(())
         })
@@ -331,16 +351,6 @@ impl From<io::Error> for DbError {
     }
 }
 
-/// The inverse of `<workload>.json` entry filenames: the single place
-/// that maps a stored file name back to its [`Workload`], shared by
-/// every namespace listing (baselines, plan verdicts, matrix cells).
-fn workload_from_filename(name: &str) -> Option<Workload> {
-    Workload::ALL
-        .iter()
-        .copied()
-        .find(|w| name == format!("{}.json", w.label()))
-}
-
 /// Manifest key of a full-Linux baseline report.
 pub fn baseline_key(app: &str, workload: Workload) -> String {
     format!("{app}/{}", workload.label())
@@ -372,27 +382,51 @@ pub fn plan_key(os: &str, workload: Workload) -> String {
     format!("{os}/{}", workload.label())
 }
 
+/// The one reader of stored files: `Ok(None)` when absent, and
+/// [`DbError::Corrupt`] naming the file for anything unparseable.
 fn read_json<T: serde::Deserialize>(path: &Path) -> Result<Option<T>, DbError> {
-    match fs::read_to_string(path) {
-        Ok(text) => serde_json::from_str(&text)
-            .map(Some)
-            .map_err(|e| DbError::Corrupt {
-                path: path.to_path_buf(),
-                message: e.to_string(),
-            }),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
-    }
+    let bytes = match fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let corrupt = |message: String| DbError::Corrupt {
+        path: path.to_path_buf(),
+        message,
+    };
+    let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(e.to_string()))?;
+    serde_json::from_str(text)
+        .map(Some)
+        .map_err(|e| corrupt(e.to_string()))
 }
 
-fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), DbError> {
-    fs::create_dir_all(path.parent().expect("entry path has parent"))?;
-    let json = serde_json::to_string_pretty(value).map_err(|e| DbError::Corrupt {
+fn to_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<String, DbError> {
+    serde_json::to_string_pretty(value).map_err(|e| DbError::Corrupt {
         path: path.to_path_buf(),
         message: e.to_string(),
-    })?;
-    fs::write(path, json)?;
-    Ok(())
+    })
+}
+
+/// The one writer of database files: `bytes` go to a fresh temp file
+/// beside `path` (`.<name>.<pid>.<seq>.tmp`, which no namespace walk
+/// matches), which is then renamed over the target. A reader, or the
+/// next run after a `kill -9`, sees the old file or the new one, never
+/// a torn one; temp names are unique per process and call, so writers
+/// that do not hold the writer lock (snapshot rebuilds) cannot collide.
+/// There is no fsync: a killed process leaves the page cache intact,
+/// and power loss is out of scope (see KNOWN_ISSUES).
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().expect("database paths have a parent");
+    fs::create_dir_all(dir)?;
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
+    let written = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
 }
 
 impl Database {
@@ -419,10 +453,12 @@ impl Database {
                 }),
                 stats: Mutex::new(CacheStats::default()),
                 write_lock: Mutex::new(()),
-                baselines: Mutex::new(SlotState::Empty),
-                matrix: Mutex::new(SlotState::Empty),
-                suites: Mutex::new(SlotState::Empty),
-                statics: Mutex::new(SlotState::Empty),
+                slots: Slots {
+                    baselines: Mutex::new(SlotState::Empty),
+                    matrix: Mutex::new(SlotState::Empty),
+                    suites: Mutex::new(SlotState::Empty),
+                    statics: Mutex::new(SlotState::Empty),
+                },
             }),
         })
     }
@@ -432,123 +468,101 @@ impl Database {
         &self.shared.root
     }
 
-    fn entry_path(&self, env: &str, app: &str, workload: Workload) -> PathBuf {
-        // Full-Linux baselines live at the root (the shape every loupedb
-        // has always had); restricted-environment measurements are
-        // segregated under `env/<name>/` so they can never be confused
-        // with a baseline by the cache key.
-        let base = if env == LINUX_ENV {
-            self.shared.root.clone()
-        } else {
-            self.shared.root.join("env").join(env)
-        };
-        base.join(app).join(format!("{}.json", workload.label()))
-    }
-
-    /// Stores a report, conservatively merging with any existing entry for
-    /// the same `(env, app, workload)`: a feature is classified stubbable
-    /// or fakeable only if *every* stored measurement agrees (§3.1).
-    /// Reports measured on a restricted execution environment are stored
-    /// under the `env/<name>/` namespace, segregated from the full-Linux
-    /// baselines the dynamic pipeline caches.
+    /// Stores `value` in `ns`, composing it with any stored artifact of
+    /// the same key per the namespace's merge policy (see [`store`]).
     ///
     /// # Errors
     ///
     /// I/O and serialisation failures.
-    pub fn save(&self, report: &AppReport) -> Result<(), DbError> {
+    pub fn put<T: Artifact>(&self, ns: &Namespace<T>, value: &T) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
-        self.save_report_locked(report, true)
+        self.put_locked(ns, value, true)
     }
 
-    /// Stores a report, *replacing* any existing entry instead of
-    /// merging — the path the incremental engine takes when the stored
-    /// entry's recorded inputs no longer match (merging content produced
-    /// by outdated inputs would poison the fresh measurement).
+    /// Stores `value` in `ns`, *replacing* any stored artifact instead
+    /// of merging — the path a sweep stage takes when the stored
+    /// artifact's recorded inputs no longer match (merging content
+    /// produced by outdated inputs would poison the fresh one).
     ///
     /// # Errors
     ///
     /// I/O and serialisation failures.
-    pub fn save_replacing(&self, report: &AppReport) -> Result<(), DbError> {
+    pub fn put_replacing<T: Artifact>(&self, ns: &Namespace<T>, value: &T) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
-        self.save_report_locked(report, false)
+        self.put_locked(ns, value, false)
     }
 
-    fn save_report_locked(&self, report: &AppReport, merge: bool) -> Result<(), DbError> {
-        // Merge only with a stored entry of the *same* environment; a
-        // legacy mismatched entry at this path is superseded, not merged
-        // (merging a restricted-kernel trace into a baseline would
-        // poison it).
-        let existing = if merge {
-            self.load_env(&report.env, &report.app, report.workload)?
-                .filter(|existing| existing.env == report.env)
-        } else {
-            None
+    fn put_locked<T: Artifact>(
+        &self,
+        ns: &Namespace<T>,
+        value: &T,
+        merge: bool,
+    ) -> Result<(), DbError> {
+        debug_assert!(
+            (ns.accept)(value),
+            "{} would not serve this value",
+            ns.layout.name
+        );
+        let key = (ns.key)(value);
+        let stored = match ns.merge {
+            Some(compose) if merge => self.get(ns, &key)?.map(|stored| compose(&stored, value)),
+            _ => None,
         };
-        let merged = match existing {
-            Some(existing) => merge_reports(&existing, report),
-            None => report.clone(),
-        };
-        let path = self.entry_path(&report.env, &report.app, report.workload);
-        write_json(&path, &merged)?;
-        if report.env == LINUX_ENV {
-            self.shared.record_artifact(
-                ns::BASELINES,
-                &baseline_key(&report.app, report.workload),
-                &merged,
-            );
-        } else {
-            self.shared.record_artifact(
-                ns::ENV,
-                &env_key(&report.env, &report.app, report.workload),
-                &merged,
-            );
-        }
+        let merged = stored.map_or(Cow::Borrowed(value), Cow::Owned);
+        let path = self.shared.root.join(ns.layout.path(&key));
+        write_atomic(&path, to_json(&path, &*merged)?.as_bytes())?;
+        self.shared.record_artifact(ns.layout.name, &key, &*merged);
         Ok(())
     }
 
-    /// Loads the stored *full-Linux baseline* for `(app, workload)`, if
-    /// any. An entry at the baseline path that records a different
-    /// execution environment (written by tooling predating the
-    /// segregation) is rejected — `Ok(None)` — so it is re-measured
-    /// rather than served as a baseline.
+    /// Loads the artifact stored in `ns` under `key`, if any: from the
+    /// namespace's snapshot when one is fresh and holds the key, else
+    /// from its JSON file.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
-    pub fn load(&self, app: &str, workload: Workload) -> Result<Option<AppReport>, DbError> {
-        Ok(self
-            .load_env(LINUX_ENV, app, workload)?
-            .filter(AppReport::is_linux_baseline))
+    pub fn get<T: Artifact>(&self, ns: &Namespace<T>, key: &str) -> Result<Option<T>, DbError> {
+        let hit = match self.cached_entry(ns, key) {
+            Some(hit) => Some(hit),
+            None => read_json(&self.shared.root.join(ns.layout.path(key)))?,
+        };
+        Ok(hit.filter(ns.accept))
     }
 
-    /// Loads the stored report for `(env, app, workload)`, if any.
+    /// Whether a file is stored in `ns` under `key` (cheap: a file
+    /// probe, no parsing).
+    pub fn contains<T>(&self, ns: &Namespace<T>, key: &str) -> bool {
+        self.shared.root.join(ns.layout.path(key)).is_file()
+    }
+
+    /// Every key stored in `ns`, in key order (segment by segment).
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn keys<T>(&self, ns: &Namespace<T>) -> Result<Vec<String>, DbError> {
+        Ok(ns.layout.walk(&self.shared.root)?)
+    }
+
+    /// Loads every artifact stored in `ns`, in key order — the bulk path
+    /// behind fleet-wide aggregation and the rendered docs.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
-    pub fn load_env(
-        &self,
-        env: &str,
-        app: &str,
-        workload: Workload,
-    ) -> Result<Option<AppReport>, DbError> {
-        if env == LINUX_ENV {
-            if let Some(hit) = self.cached_entry(
-                &self.shared.baselines,
-                ns::BASELINES,
-                &baseline_key(app, workload),
-            ) {
-                return Ok(Some(hit));
-            }
-        }
-        read_json(&self.entry_path(env, app, workload))
+    pub fn load_all<T: Artifact>(&self, ns: &Namespace<T>) -> Result<Vec<T>, DbError> {
+        let map = self.bulk(ns)?;
+        let mut entries: Vec<(&String, &T)> = map.iter().filter(|(_, v)| (ns.accept)(v)).collect();
+        entries.sort_by(|a, b| store::key_order(a.0, b.0));
+        Ok(entries.into_iter().map(|(_, v)| v.clone()).collect())
     }
 
     /// On-disk binary index of one namespace.
     fn index_path(&self, namespace: &str) -> PathBuf {
         self.shared
             .root
-            .join("index")
+            .join(store::INDEX_DIR)
             .join(format!("{namespace}.bin"))
     }
 
@@ -559,12 +573,9 @@ impl Database {
     /// happens on bulk loads. Anything else (no snapshot, stale, key
     /// absent, malformed value) falls back to the JSON file — files
     /// written out-of-band stay visible.
-    fn cached_entry<T: Clone + serde::Deserialize>(
-        &self,
-        slot: &SnapshotSlot<T>,
-        namespace: &str,
-        key: &str,
-    ) -> Option<T> {
+    fn cached_entry<T: Artifact>(&self, ns: &Namespace<T>, key: &str) -> Option<T> {
+        let slot = (ns.slot?)(&self.shared.slots);
+        let namespace = ns.layout.name;
         let mut guard = slot.lock().expect("snapshot lock");
         let generation = self.shared.generation(namespace);
         match &*guard {
@@ -589,20 +600,27 @@ impl Database {
         }
     }
 
-    /// Bulk-loads a whole namespace: in-memory snapshot if fresh, else
-    /// the binary disk snapshot if its content-addressed state matches,
-    /// else a rebuild from the JSON tree (which also backfills the
-    /// manifest and rewrites the disk snapshot).
-    fn bulk<T>(
-        &self,
-        namespace: &'static str,
-        slot: &SnapshotSlot<T>,
-        rebuild: impl FnOnce() -> Result<Vec<(String, T)>, DbError>,
-    ) -> Result<Arc<BTreeMap<String, T>>, DbError>
-    where
-        T: Clone + serde::Serialize + serde::Deserialize,
-    {
-        let mut guard = slot.lock().expect("snapshot lock");
+    /// The one bulk loader: a whole namespace from the in-memory
+    /// snapshot if fresh, else the binary disk snapshot if its
+    /// content-addressed state matches, else a rebuild from the JSON
+    /// tree (which also backfills the manifest and rewrites the disk
+    /// snapshot). Namespaces without a snapshot always rebuild.
+    fn bulk<T: Artifact>(&self, ns: &Namespace<T>) -> Result<Arc<BTreeMap<String, T>>, DbError> {
+        let namespace = ns.layout.name;
+        let rebuild = || -> Result<BTreeMap<String, T>, DbError> {
+            let mut entries = Vec::new();
+            for key in self.keys(ns)? {
+                if let Some(value) = read_json(&self.shared.root.join(ns.layout.path(&key)))? {
+                    entries.push((key, value));
+                }
+            }
+            self.shared.adopt_outputs(namespace, &entries);
+            Ok(entries.into_iter().collect())
+        };
+        let Some(slot) = ns.slot else {
+            return rebuild().map(Arc::new);
+        };
+        let mut guard = slot(&self.shared.slots).lock().expect("snapshot lock");
         let generation = self.shared.generation(namespace);
         if let SlotState::Decoded(g, map) = &*guard {
             if *g == generation {
@@ -618,24 +636,16 @@ impl Database {
             _ => snapshot::MappedSnapshot::open(&path, expected),
         };
         let decoded = snap.and_then(|snap| snap.decode_all()).and_then(|entries| {
-            let mut map = BTreeMap::new();
-            for (key, value) in entries {
-                match T::from_value(&value) {
-                    Ok(t) => {
-                        map.insert(key, t);
-                    }
-                    // Undecodable snapshot (schema drift): rebuild.
-                    Err(_) => return None,
-                }
-            }
-            Some(map)
+            entries
+                .into_iter()
+                .map(|(key, value)| T::from_value(&value).ok().map(|t| (key, t)))
+                // Undecodable snapshot (schema drift): rebuild.
+                .collect::<Option<BTreeMap<_, _>>>()
         });
         let map = match decoded {
             Some(map) => map,
             None => {
-                let entries = rebuild()?;
-                self.shared.adopt_outputs(namespace, &entries);
-                let map: BTreeMap<String, T> = entries.into_iter().collect();
+                let map = rebuild()?;
                 let state = self.shared.namespace_state(namespace);
                 let encoded: Vec<(&String, serde::Value)> =
                     map.iter().map(|(k, v)| (k, v.to_value())).collect();
@@ -651,57 +661,6 @@ impl Database {
         Ok(map)
     }
 
-    fn bulk_baselines(&self) -> Result<Arc<BTreeMap<String, AppReport>>, DbError> {
-        self.bulk(ns::BASELINES, &self.shared.baselines, || {
-            let mut out = Vec::new();
-            for (app, workload) in self.list()? {
-                let path = self.entry_path(LINUX_ENV, &app, workload);
-                if let Some(report) = read_json::<AppReport>(&path)? {
-                    out.push((baseline_key(&app, workload), report));
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    fn bulk_matrix(&self) -> Result<Arc<BTreeMap<String, MatrixCell>>, DbError> {
-        self.bulk(ns::MATRIX, &self.shared.matrix, || {
-            let mut out = Vec::new();
-            for (os, app, workload) in self.list_matrix_cells()? {
-                let path = self.matrix_path(&os, &app, workload);
-                if let Some(cell) = read_json::<MatrixCell>(&path)? {
-                    out.push((matrix_key(&os, &app, workload), cell));
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    fn bulk_suites(&self) -> Result<Arc<BTreeMap<String, ConformanceSuite>>, DbError> {
-        self.bulk(ns::SUITES, &self.shared.suites, || {
-            let mut out = Vec::new();
-            for (os, app, workload) in self.list_suites()? {
-                let path = self.suite_path(&os, &app, workload);
-                if let Some(suite) = read_json::<ConformanceSuite>(&path)? {
-                    out.push((suite_key(&os, &app, workload), suite));
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    fn bulk_statics(&self) -> Result<Arc<BTreeMap<String, StaticReport>>, DbError> {
-        self.bulk(ns::STATIC, &self.shared.statics, || {
-            let mut out = Vec::new();
-            for (level, app) in self.list_static()? {
-                if let Some(report) = self.read_static(level, &app)? {
-                    out.push((static_key(level, &app), report));
-                }
-            }
-            Ok(out)
-        })
-    }
-
     /// Warms every namespace snapshot (building binary indices as
     /// needed) so subsequent point and bulk reads are served from
     /// memory. Sweeps call this once up front.
@@ -710,528 +669,11 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn preload(&self) -> Result<(), DbError> {
-        self.bulk_baselines()?;
-        self.bulk_matrix()?;
-        self.bulk_suites()?;
-        self.bulk_statics()?;
+        self.bulk(&store::BASELINES)?;
+        self.bulk(&store::MATRIX)?;
+        self.bulk(&store::SUITES)?;
+        self.bulk(&store::STATIC)?;
         Ok(())
-    }
-
-    /// Whether a full-Linux baseline entry for `(app, workload)` is
-    /// stored (cheap: a file probe, no parsing) — for tooling that only
-    /// needs existence; the sweep driver itself loads the entry since a
-    /// cache hit is returned.
-    pub fn contains(&self, app: &str, workload: Workload) -> bool {
-        self.entry_path(LINUX_ENV, app, workload).is_file()
-    }
-
-    /// Loads every stored report for one workload, sorted by app name —
-    /// the bulk path behind fleet-wide aggregation and reporting.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_workload(&self, workload: Workload) -> Result<Vec<AppReport>, DbError> {
-        let map = self.bulk_baselines()?;
-        let mut out: Vec<AppReport> = map
-            .values()
-            .filter(|r| r.workload == workload && r.is_linux_baseline())
-            .cloned()
-            .collect();
-        out.sort_by(|a: &AppReport, b: &AppReport| a.app.cmp(&b.app));
-        Ok(out)
-    }
-
-    /// Lists `(app, workload)` pairs present in the database.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list(&self) -> Result<Vec<(String, Workload)>, DbError> {
-        let mut out = Vec::new();
-        for app_dir in fs::read_dir(&self.shared.root)? {
-            let app_dir = app_dir?;
-            if !app_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let app = app_dir.file_name().to_string_lossy().into_owned();
-            // Non-baseline namespaces sharing the root directory.
-            if matches!(
-                app.as_str(),
-                "env" | "plans" | "os" | "static" | "gentests" | "index"
-            ) {
-                continue;
-            }
-            for entry in fs::read_dir(app_dir.path())? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let Some(workload) = workload_from_filename(&name) else {
-                    continue;
-                };
-                out.push((app.clone(), workload));
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Loads every stored report for `workload` as planner requirements.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn requirements(&self, workload: Workload) -> Result<Vec<AppRequirement>, DbError> {
-        Ok(self
-            .load_workload(workload)?
-            .iter()
-            .map(AppRequirement::from_report)
-            .collect())
-    }
-
-    /// Stores a plan-validation verdict under
-    /// `<root>/plans/<os>/<workload>.json`, overwriting any previous
-    /// validation of the same (OS, workload) — unlike measurements,
-    /// validations are not merged: they describe one deterministic
-    /// replay of the current plan.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_plan_validation(&self, validation: &PlanValidation) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        let path = self.plan_path(&validation.os, validation.workload);
-        write_json(&path, validation)?;
-        self.shared.record_artifact(
-            ns::PLANS,
-            &plan_key(&validation.os, validation.workload),
-            validation,
-        );
-        Ok(())
-    }
-
-    /// Loads the stored validation for `(os, workload)`, if any.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_plan_validation(
-        &self,
-        os: &str,
-        workload: Workload,
-    ) -> Result<Option<PlanValidation>, DbError> {
-        read_json(&self.plan_path(os, workload))
-    }
-
-    /// Lists `(os, workload)` pairs with stored plan validations.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list_plan_validations(&self) -> Result<Vec<(String, Workload)>, DbError> {
-        let root = self.shared.root.join("plans");
-        let mut out = Vec::new();
-        let entries = match fs::read_dir(&root) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e.into()),
-        };
-        for os_dir in entries {
-            let os_dir = os_dir?;
-            if !os_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let os = os_dir.file_name().to_string_lossy().into_owned();
-            for entry in fs::read_dir(os_dir.path())? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let Some(workload) = workload_from_filename(&name) else {
-                    continue;
-                };
-                out.push((os.clone(), workload));
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    fn plan_path(&self, os: &str, workload: Workload) -> PathBuf {
-        self.shared
-            .root
-            .join("plans")
-            .join(os)
-            .join(format!("{}.json", workload.label()))
-    }
-
-    /// Stores a generated conformance suite under
-    /// `<root>/gentests/<os>/<workload>/<app>.json`, overwriting any
-    /// previous suite for the same cell — like plan validations (and
-    /// unlike measurements), suites are not merged: each one is a
-    /// deterministic compilation of the current corpus.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_suite(&self, suite: &ConformanceSuite) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        let path = self.suite_path(&suite.os, &suite.app, suite.workload);
-        write_json(&path, suite)?;
-        self.shared.record_artifact(
-            ns::SUITES,
-            &suite_key(&suite.os, &suite.app, suite.workload),
-            suite,
-        );
-        Ok(())
-    }
-
-    /// Loads the stored conformance suite for `(os, app, workload)`, if
-    /// any.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_suite(
-        &self,
-        os: &str,
-        app: &str,
-        workload: Workload,
-    ) -> Result<Option<ConformanceSuite>, DbError> {
-        if let Some(hit) = self.cached_entry(
-            &self.shared.suites,
-            ns::SUITES,
-            &suite_key(os, app, workload),
-        ) {
-            return Ok(Some(hit));
-        }
-        read_json(&self.suite_path(os, app, workload))
-    }
-
-    /// Lists `(os, app, workload)` triples with stored conformance
-    /// suites.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list_suites(&self) -> Result<Vec<(String, String, Workload)>, DbError> {
-        let root = self.shared.root.join("gentests");
-        let mut out = Vec::new();
-        let entries = match fs::read_dir(&root) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e.into()),
-        };
-        for os_dir in entries {
-            let os_dir = os_dir?;
-            if !os_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let os = os_dir.file_name().to_string_lossy().into_owned();
-            for wl_dir in fs::read_dir(os_dir.path())? {
-                let wl_dir = wl_dir?;
-                if !wl_dir.file_type()?.is_dir() {
-                    continue;
-                }
-                let label = wl_dir.file_name().to_string_lossy().into_owned();
-                let Some(workload) = Workload::ALL.iter().copied().find(|w| w.label() == label)
-                else {
-                    continue;
-                };
-                for entry in fs::read_dir(wl_dir.path())? {
-                    let entry = entry?;
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    let Some(app) = name.strip_suffix(".json") else {
-                        continue;
-                    };
-                    out.push((os.clone(), app.to_owned(), workload));
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Loads every stored conformance suite, sorted by `(os, app,
-    /// workload)` — the bulk path behind `docs/CONFORMANCE.md`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_suites(&self) -> Result<Vec<ConformanceSuite>, DbError> {
-        let map = self.bulk_suites()?;
-        let mut out: Vec<ConformanceSuite> = map.values().cloned().collect();
-        out.sort_by(|a, b| (&a.os, &a.app, a.workload).cmp(&(&b.os, &b.app, b.workload)));
-        Ok(out)
-    }
-
-    fn suite_path(&self, os: &str, app: &str, workload: Workload) -> PathBuf {
-        self.shared
-            .root
-            .join("gentests")
-            .join(os)
-            .join(workload.label())
-            .join(format!("{app}.json"))
-    }
-
-    fn matrix_path(&self, os: &str, app: &str, workload: Workload) -> PathBuf {
-        self.shared
-            .root
-            .join("env")
-            .join(os)
-            .join("matrix")
-            .join(app)
-            .join(format!("{}.json", workload.label()))
-    }
-
-    /// Stores one fleet × OS compatibility-matrix cell under the
-    /// environment's namespace, `env/<os>/matrix/<app>/<workload>.json`
-    /// (the `matrix/` directory is reserved inside each environment; no
-    /// application may be called `matrix`). A stored cell for the same
-    /// key is *composed with*, not clobbered: tiers the new cell did not
-    /// measure (`None`) keep the stored verdict, so a vanilla-only sweep
-    /// followed by a planned sweep yields one complete cell.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_matrix_cell(&self, cell: &MatrixCell) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.save_matrix_cell_locked(cell, true)
-    }
-
-    /// Stores a matrix cell, *replacing* any stored cell instead of
-    /// composing tiers — the path taken when the stored cell's recorded
-    /// inputs no longer match (tiers measured against outdated inputs
-    /// must not survive into the fresh cell).
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_matrix_cell_replacing(&self, cell: &MatrixCell) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.save_matrix_cell_locked(cell, false)
-    }
-
-    fn save_matrix_cell_locked(&self, cell: &MatrixCell, compose: bool) -> Result<(), DbError> {
-        let mut merged = cell.clone();
-        if compose {
-            if let Some(existing) = self.load_matrix_cell(&cell.os, &cell.app, cell.workload)? {
-                if merged.vanilla.is_none() {
-                    merged.vanilla = existing.vanilla;
-                }
-                if merged.planned.is_none() {
-                    merged.planned = existing.planned;
-                }
-            }
-        }
-        let path = self.matrix_path(&cell.os, &cell.app, cell.workload);
-        write_json(&path, &merged)?;
-        self.shared.record_artifact(
-            ns::MATRIX,
-            &matrix_key(&cell.os, &cell.app, cell.workload),
-            &merged,
-        );
-        Ok(())
-    }
-
-    /// Loads the stored matrix cell for `(os, app, workload)`, if any.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_matrix_cell(
-        &self,
-        os: &str,
-        app: &str,
-        workload: Workload,
-    ) -> Result<Option<MatrixCell>, DbError> {
-        if let Some(hit) = self.cached_entry(
-            &self.shared.matrix,
-            ns::MATRIX,
-            &matrix_key(os, app, workload),
-        ) {
-            return Ok(Some(hit));
-        }
-        read_json(&self.matrix_path(os, app, workload))
-    }
-
-    /// Lists `(os, app, workload)` keys with stored matrix cells.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list_matrix_cells(&self) -> Result<Vec<(String, String, Workload)>, DbError> {
-        let env_root = self.shared.root.join("env");
-        let mut out = Vec::new();
-        let oses = match fs::read_dir(&env_root) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e.into()),
-        };
-        for os_dir in oses {
-            let os_dir = os_dir?;
-            if !os_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let os = os_dir.file_name().to_string_lossy().into_owned();
-            let matrix_root = os_dir.path().join("matrix");
-            let apps = match fs::read_dir(&matrix_root) {
-                Ok(entries) => entries,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e.into()),
-            };
-            for app_dir in apps {
-                let app_dir = app_dir?;
-                if !app_dir.file_type()?.is_dir() {
-                    continue;
-                }
-                let app = app_dir.file_name().to_string_lossy().into_owned();
-                for entry in fs::read_dir(app_dir.path())? {
-                    let entry = entry?;
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    let Some(workload) = workload_from_filename(&name) else {
-                        continue;
-                    };
-                    out.push((os.clone(), app.clone(), workload));
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Loads every stored matrix cell, sorted by `(os, app, workload)` —
-    /// the bulk path behind matrix aggregation and `OS_MATRIX.md`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_matrix(&self) -> Result<Vec<MatrixCell>, DbError> {
-        let map = self.bulk_matrix()?;
-        let mut out: Vec<MatrixCell> = map.values().cloned().collect();
-        out.sort_by(|a, b| {
-            (&a.os, &a.app, a.workload.label()).cmp(&(&b.os, &b.app, b.workload.label()))
-        });
-        Ok(out)
-    }
-
-    fn static_path(&self, level: Level, app: &str) -> PathBuf {
-        self.shared
-            .root
-            .join("static")
-            .join(level.label())
-            .join(format!("{app}.json"))
-    }
-
-    /// The pre-ladder location of a static report (`static/binary/`,
-    /// `static/source/`), for the levels that existed then. Reads fall
-    /// back to it so databases written before the L0–L3 precision
-    /// ladder keep serving their artifacts; writes always use the
-    /// ladder-keyed path.
-    fn static_legacy_path(&self, level: Level, app: &str) -> Option<PathBuf> {
-        level.legacy_label().map(|label| {
-            self.shared
-                .root
-                .join("static")
-                .join(label)
-                .join(format!("{app}.json"))
-        })
-    }
-
-    /// Reads a static report from its ladder path, falling back to the
-    /// legacy location.
-    fn read_static(&self, level: Level, app: &str) -> Result<Option<StaticReport>, DbError> {
-        if let Some(report) = read_json(&self.static_path(level, app))? {
-            return Ok(Some(report));
-        }
-        match self.static_legacy_path(level, app) {
-            Some(path) => read_json(&path),
-            None => Ok(None),
-        }
-    }
-
-    /// Stores a static-analysis report under
-    /// `<root>/static/<level>/<app>.json` — a namespace keyed by
-    /// analysis level, fully segregated from the dynamic measurements,
-    /// so a `StaticReport` can never collide with (or be served as) a
-    /// dynamic baseline. Overwrites any previous entry: static analysis
-    /// is a deterministic pure function of the app's code descriptor,
-    /// so unlike measurements there is nothing to merge.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_static(&self, report: &StaticReport) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        let path = self.static_path(report.level, &report.app);
-        write_json(&path, report)?;
-        self.shared
-            .record_artifact(ns::STATIC, &static_key(report.level, &report.app), report);
-        Ok(())
-    }
-
-    /// Loads the stored static report for `(level, app)`, if any.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_static(&self, level: Level, app: &str) -> Result<Option<StaticReport>, DbError> {
-        if let Some(hit) =
-            self.cached_entry(&self.shared.statics, ns::STATIC, &static_key(level, app))
-        {
-            return Ok(Some(hit));
-        }
-        self.read_static(level, app)
-    }
-
-    /// Whether a static entry for `(level, app)` is stored.
-    pub fn contains_static(&self, level: Level, app: &str) -> bool {
-        self.static_path(level, app).is_file()
-            || self
-                .static_legacy_path(level, app)
-                .is_some_and(|p| p.is_file())
-    }
-
-    /// Loads every stored static report of one level, sorted by app name.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_static_level(&self, level: Level) -> Result<Vec<StaticReport>, DbError> {
-        let map = self.bulk_statics()?;
-        let mut out: Vec<StaticReport> =
-            map.values().filter(|r| r.level == level).cloned().collect();
-        out.sort_by(|a, b| a.app.cmp(&b.app));
-        Ok(out)
-    }
-
-    /// Lists `(level, app)` pairs with stored static reports.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list_static(&self) -> Result<Vec<(Level, String)>, DbError> {
-        let mut out = std::collections::BTreeSet::new();
-        let mut scan = |dir: PathBuf, level: Level| -> Result<(), DbError> {
-            let entries = match fs::read_dir(&dir) {
-                Ok(entries) => entries,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-                Err(e) => return Err(e.into()),
-            };
-            for entry in entries {
-                let name = entry?.file_name().to_string_lossy().into_owned();
-                if let Some(app) = name.strip_suffix(".json") {
-                    out.insert((level, app.to_owned()));
-                }
-            }
-            Ok(())
-        };
-        for level in Level::ALL {
-            scan(self.shared.root.join("static").join(level.label()), level)?;
-            // Pre-ladder databases stored L0/L3 under binary/source.
-            if let Some(legacy) = level.legacy_label() {
-                scan(self.shared.root.join("static").join(legacy), level)?;
-            }
-        }
-        Ok(out.into_iter().collect())
     }
 
     /// Writes an OS support spec in CSV form under `<root>/os/<name>.csv`.
@@ -1240,10 +682,9 @@ impl Database {
     ///
     /// I/O failures.
     pub fn save_os_spec(&self, spec: &OsSpec) -> Result<PathBuf, DbError> {
-        let dir = self.shared.root.join("os");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.csv", spec.name));
-        fs::write(&path, spec.to_csv())?;
+        let _writer = self.shared.lock_writers()?;
+        let path = self.os_spec_path(&spec.name);
+        write_atomic(&path, spec.to_csv().as_bytes())?;
         Ok(path)
     }
 
@@ -1253,7 +694,7 @@ impl Database {
     ///
     /// I/O failures and unknown syscalls in the file.
     pub fn load_os_spec(&self, name: &str) -> Result<Option<OsSpec>, DbError> {
-        let path = self.shared.root.join("os").join(format!("{name}.csv"));
+        let path = self.os_spec_path(name);
         match fs::read_to_string(&path) {
             Ok(text) => {
                 OsSpec::from_csv(name, "db", &text)
@@ -1266,6 +707,13 @@ impl Database {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
+    }
+
+    fn os_spec_path(&self, name: &str) -> PathBuf {
+        self.shared
+            .root
+            .join(store::OS_DIR)
+            .join(format!("{name}.csv"))
     }
 
     // ----- cache manifest: provenance, currency, invalidation -----
@@ -1364,11 +812,11 @@ impl Database {
     pub fn invalidate_matching(&self, os: Option<&str>, app: Option<&str>) -> Vec<(String, usize)> {
         self.shared.with_manifest(|s| {
             let mut out = Vec::new();
-            for namespace in ns::ALL {
+            for layout in store::ALL {
                 let mut count = 0;
-                if let Some(records) = s.manifest.records.get_mut(*namespace) {
+                if let Some(records) = s.manifest.records.get_mut(layout.name) {
                     for (key, rec) in records.iter_mut() {
-                        if rec.inputs.is_none() || !key_matches(namespace, key, os, app) {
+                        if rec.inputs.is_none() || !layout.matches(key, os, app) {
                             continue;
                         }
                         rec.inputs = None;
@@ -1376,7 +824,7 @@ impl Database {
                         s.dirty = true;
                     }
                 }
-                out.push(((*namespace).to_owned(), count));
+                out.push((layout.name.to_owned(), count));
             }
             out
         })
@@ -1467,24 +915,92 @@ impl Database {
     }
 }
 
-/// Whether a record key refers to the given OS and/or app, decoded per
-/// namespace key shape. A `None` filter matches everything; a set
-/// filter matches only namespaces whose keys carry that dimension
-/// (baselines have no OS, plans no app).
-fn key_matches(namespace: &str, key: &str, os: Option<&str>, app: Option<&str>) -> bool {
-    let mut segs = key.split('/');
-    let first = segs.next();
-    let second = segs.next();
-    let third = segs.next();
-    let (key_os, key_app) = match namespace {
-        ns::BASELINES => (None, first),
-        ns::ENV | ns::MATRIX => (first, second),
-        ns::SUITES => (first, third),
-        ns::STATIC => (None, second),
-        ns::PLANS => (first, None),
-        _ => (None, None),
-    };
-    os.is_none_or(|want| key_os == Some(want)) && app.is_none_or(|want| key_app == Some(want))
+/// Per-kind read shorthands over the generic store, kept because the
+/// benchmark helper under `perfbench/` calls and times them by name.
+/// New code uses [`Database::get`], [`Database::keys`] and
+/// [`Database::load_all`].
+impl Database {
+    /// `(app, workload)` of every stored baseline.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn list(&self) -> Result<Vec<(String, Workload)>, DbError> {
+        Ok(split_workloads(self.keys(&store::BASELINES)?))
+    }
+
+    /// `(os, workload)` of every stored plan validation.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn list_plan_validations(&self) -> Result<Vec<(String, Workload)>, DbError> {
+        Ok(split_workloads(self.keys(&store::PLANS)?))
+    }
+
+    /// The stored validation for `(os, workload)`, if any.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and corrupt entries.
+    pub fn load_plan_validation(
+        &self,
+        os: &str,
+        workload: Workload,
+    ) -> Result<Option<PlanValidation>, DbError> {
+        self.get(&store::PLANS, &plan_key(os, workload))
+    }
+
+    /// Keys of every stored static report.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn list_static(&self) -> Result<Vec<String>, DbError> {
+        self.keys(&store::STATIC)
+    }
+
+    /// Every stored static report of one level, sorted by app.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and corrupt entries.
+    pub fn load_static_level(&self, level: Level) -> Result<Vec<StaticReport>, DbError> {
+        let map = self.bulk(&store::STATIC)?;
+        let mut reports: Vec<StaticReport> =
+            map.values().filter(|r| r.level == level).cloned().collect();
+        reports.sort_by(|a, b| a.app.cmp(&b.app));
+        Ok(reports)
+    }
+
+    /// Every stored matrix cell, sorted by `(os, app, workload)`.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and corrupt entries.
+    pub fn load_matrix(&self) -> Result<Vec<MatrixCell>, DbError> {
+        self.load_all(&store::MATRIX)
+    }
+
+    /// Every stored conformance suite, in key order.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and corrupt entries.
+    pub fn load_suites(&self) -> Result<Vec<ConformanceSuite>, DbError> {
+        self.load_all(&store::SUITES)
+    }
+}
+
+/// Splits `…/<workload>` keys into their head and [`Workload`].
+fn split_workloads(keys: Vec<String>) -> Vec<(String, Workload)> {
+    keys.iter()
+        .filter_map(|key| {
+            let (head, label) = key.rsplit_once('/')?;
+            let workload = Workload::ALL.iter().find(|w| w.label() == label)?;
+            Some((head.to_owned(), *workload))
+        })
+        .collect()
 }
 
 /// Conservative merge of two measurements of the same (app, workload):
@@ -1581,6 +1097,8 @@ mod tests {
     use super::*;
     use loupe_apps::registry;
     use loupe_core::{AnalysisConfig, Engine, ImpactRecord};
+    use loupe_plan::{PlanValidation, TierOutcome};
+    use loupe_static::{GraphAnalyzer, StaticAnalyzer};
     use std::collections::BTreeMap;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1596,18 +1114,63 @@ mod tests {
             .unwrap()
     }
 
+    fn baseline(db: &Database, app: &str, workload: Workload) -> Option<AppReport> {
+        db.get(&store::BASELINES, &baseline_key(app, workload))
+            .unwrap()
+    }
+
+    fn cell(os: &str, app: &str, workload: Workload) -> MatrixCell {
+        MatrixCell {
+            os: os.into(),
+            app: app.into(),
+            workload,
+            linux_pass: true,
+            missing_required: loupe_syscalls::SysnoSet::new(),
+            vanilla: None,
+            planned: None,
+            missing_required_flags: Vec::new(),
+        }
+    }
+
+    fn tier(pass: bool) -> Option<TierOutcome> {
+        Some(TierOutcome {
+            pass,
+            ..TierOutcome::default()
+        })
+    }
+
+    fn sample_validation() -> PlanValidation {
+        use loupe_plan::{InitialVerdict, StepVerdict, SupportPlan};
+        PlanValidation {
+            os: "kerla".into(),
+            workload: Workload::HealthCheck,
+            plan: SupportPlan {
+                os: "kerla".into(),
+                initially_supported: vec!["hello".into()],
+                steps: vec![],
+            },
+            initial: vec![InitialVerdict {
+                app: "hello".into(),
+                passes: true,
+            }],
+            steps: vec![StepVerdict {
+                index: 1,
+                app: "redis".into(),
+                unlocked: true,
+                locked_before: Some(true),
+            }],
+        }
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let dir = tmpdir("roundtrip");
         let db = Database::open(&dir).unwrap();
         let report = sample_report();
-        db.save(&report).unwrap();
-        let back = db
-            .load(&report.app, Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
+        db.put(&store::BASELINES, &report).unwrap();
+        let back = baseline(&db, &report.app, Workload::HealthCheck).unwrap();
         assert_eq!(back, report);
-        assert_eq!(db.list().unwrap().len(), 1);
+        assert_eq!(db.keys(&store::BASELINES).unwrap().len(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1615,7 +1178,10 @@ mod tests {
     fn out_of_table_syscall_numbers_are_corrupt_entries() {
         let dir = tmpdir("hostile-sysno");
         let report = sample_report();
-        Database::open(&dir).unwrap().save(&report).unwrap();
+        Database::open(&dir)
+            .unwrap()
+            .put(&store::BASELINES, &report)
+            .unwrap();
         let path = dir.join(&report.app).join("health.json");
         let text = fs::read_to_string(&path).unwrap();
         // One out-of-table number in a syscall set, then as a map key.
@@ -1628,7 +1194,10 @@ mod tests {
             fs::write(&path, hostile).unwrap();
             let err = Database::open(&dir)
                 .unwrap()
-                .load(&report.app, Workload::HealthCheck)
+                .get(
+                    &store::BASELINES,
+                    &baseline_key(&report.app, Workload::HealthCheck),
+                )
                 .unwrap_err();
             assert!(
                 matches!(&err, DbError::Corrupt { message, .. } if message.contains("9999")),
@@ -1643,41 +1212,34 @@ mod tests {
         let dir = tmpdir("suites");
         let db = Database::open(&dir).unwrap();
         let report = sample_report();
-        db.save(&report).unwrap();
+        db.put(&store::BASELINES, &report).unwrap();
 
         let spec = loupe_plan::os::find("kerla").unwrap();
         let suite = ConformanceSuite::generate(&spec, &report, None);
-        db.save_suite(&suite).unwrap();
+        db.put(&store::SUITES, &suite).unwrap();
 
         // Roundtrip is exact; overwriting replaces rather than merges.
-        let back = db
-            .load_suite("kerla", &report.app, Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, suite);
+        let key = suite_key("kerla", &report.app, Workload::HealthCheck);
+        assert_eq!(db.get(&store::SUITES, &key).unwrap().unwrap(), suite);
         let mut rewritten = suite.clone();
         rewritten.cases.truncate(1);
-        db.save_suite(&rewritten).unwrap();
-        let back = db
-            .load_suite("kerla", &report.app, Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, rewritten, "suites overwrite, not merge");
+        db.put(&store::SUITES, &rewritten).unwrap();
+        assert_eq!(
+            db.get(&store::SUITES, &key).unwrap().unwrap(),
+            rewritten,
+            "suites overwrite, not merge"
+        );
 
         // The gentests namespace is invisible to the baseline listing,
-        // and the bulk loaders see exactly the stored triples.
-        assert_eq!(db.list().unwrap().len(), 1);
-        assert_eq!(
-            db.list_suites().unwrap(),
-            vec![(
-                "kerla".to_owned(),
-                report.app.clone(),
-                Workload::HealthCheck
-            )]
-        );
-        assert_eq!(db.load_suites().unwrap(), vec![rewritten]);
+        // and the bulk loaders see exactly the stored keys.
+        assert_eq!(db.keys(&store::BASELINES).unwrap().len(), 1);
+        assert_eq!(db.keys(&store::SUITES).unwrap(), vec![key]);
+        assert_eq!(db.load_all(&store::SUITES).unwrap(), vec![rewritten]);
         assert!(db
-            .load_suite("gvisor", &report.app, Workload::HealthCheck)
+            .get(
+                &store::SUITES,
+                &suite_key("gvisor", &report.app, Workload::HealthCheck)
+            )
             .unwrap()
             .is_none());
         fs::remove_dir_all(&dir).ok();
@@ -1782,12 +1344,9 @@ mod tests {
         let dir = tmpdir("merge");
         let db = Database::open(&dir).unwrap();
         let report = sample_report();
-        db.save(&report).unwrap();
-        db.save(&report).unwrap();
-        let back = db
-            .load(&report.app, Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
+        db.put(&store::BASELINES, &report).unwrap();
+        db.put(&store::BASELINES, &report).unwrap();
+        let back = baseline(&db, &report.app, Workload::HealthCheck).unwrap();
         let first = *report.traced.keys().next().unwrap();
         assert_eq!(back.traced[&first], report.traced[&first] * 2);
         fs::remove_dir_all(&dir).ok();
@@ -1807,54 +1366,26 @@ mod tests {
 
     #[test]
     fn plan_validation_roundtrip_and_listing() {
-        use loupe_plan::{InitialVerdict, StepVerdict, SupportPlan};
         let dir = tmpdir("plans");
         let db = Database::open(&dir).unwrap();
-        assert!(db.list_plan_validations().unwrap().is_empty());
-        let validation = PlanValidation {
-            os: "kerla".into(),
-            workload: Workload::HealthCheck,
-            plan: SupportPlan {
-                os: "kerla".into(),
-                initially_supported: vec!["hello".into()],
-                steps: vec![],
-            },
-            initial: vec![InitialVerdict {
-                app: "hello".into(),
-                passes: true,
-            }],
-            steps: vec![StepVerdict {
-                index: 1,
-                app: "redis".into(),
-                unlocked: true,
-                locked_before: Some(true),
-            }],
-        };
-        db.save_plan_validation(&validation).unwrap();
-        let back = db
-            .load_plan_validation("kerla", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, validation);
-        assert_eq!(
-            db.list_plan_validations().unwrap(),
-            vec![("kerla".to_owned(), Workload::HealthCheck)]
-        );
+        assert!(db.keys(&store::PLANS).unwrap().is_empty());
+        let validation = sample_validation();
+        db.put(&store::PLANS, &validation).unwrap();
+        let key = plan_key("kerla", Workload::HealthCheck);
+        assert_eq!(db.get(&store::PLANS, &key).unwrap().unwrap(), validation);
+        assert_eq!(db.keys(&store::PLANS).unwrap(), vec![key.clone()]);
         assert!(db
-            .load_plan_validation("kerla", Workload::Benchmark)
+            .get(&store::PLANS, &plan_key("kerla", Workload::Benchmark))
             .unwrap()
             .is_none());
         // Validations live outside the measurement namespace.
-        assert!(db.list().unwrap().is_empty());
+        assert!(db.keys(&store::BASELINES).unwrap().is_empty());
         // Re-saving overwrites (no merge): one deterministic replay.
         let mut second = validation.clone();
         second.steps[0].unlocked = false;
-        db.save_plan_validation(&second).unwrap();
-        let back = db
-            .load_plan_validation("kerla", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, second);
+        db.put(&store::PLANS, &second).unwrap();
+        assert_eq!(db.get(&store::PLANS, &key).unwrap().unwrap(), second);
+        assert_eq!(db.load_all(&store::PLANS).unwrap(), vec![second]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1864,32 +1395,35 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let mut restricted = sample_report();
         restricted.env = "kerla-step3".into();
-        db.save(&restricted).unwrap();
+        db.put(store::reports(&restricted.env), &restricted)
+            .unwrap();
 
         // The dynamic (baseline) path must not see it: the cache key now
         // includes the execution environment.
-        assert!(db
-            .load(&restricted.app, Workload::HealthCheck)
-            .unwrap()
-            .is_none());
-        assert!(!db.contains(&restricted.app, Workload::HealthCheck));
-        assert!(db.list().unwrap().is_empty());
+        let key = baseline_key(&restricted.app, Workload::HealthCheck);
+        assert!(baseline(&db, &restricted.app, Workload::HealthCheck).is_none());
+        assert!(!db.contains(&store::BASELINES, &key));
+        assert!(db.keys(&store::BASELINES).unwrap().is_empty());
         // But the segregated namespace holds it.
         let back = db
-            .load_env("kerla-step3", &restricted.app, Workload::HealthCheck)
+            .get(
+                &store::ENV,
+                &env_key("kerla-step3", &restricted.app, Workload::HealthCheck),
+            )
             .unwrap()
             .unwrap();
         assert_eq!(back, restricted);
 
         // Saving the Linux baseline afterwards does not merge with the
         // restricted entry: both coexist, each under its own key.
-        let baseline = sample_report();
-        db.save(&baseline).unwrap();
-        let served = db
-            .load(&baseline.app, Workload::HealthCheck)
-            .unwrap()
+        let baseline_report = sample_report();
+        db.put(store::reports(&baseline_report.env), &baseline_report)
             .unwrap();
-        assert_eq!(served, baseline, "baseline unpolluted by restricted run");
+        let served = baseline(&db, &baseline_report.app, Workload::HealthCheck).unwrap();
+        assert_eq!(
+            served, baseline_report,
+            "baseline unpolluted by restricted run"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1907,14 +1441,13 @@ mod tests {
         fs::write(&path, serde_json::to_string(&stale).unwrap()).unwrap();
 
         assert!(
-            db.load(&stale.app, Workload::HealthCheck)
-                .unwrap()
-                .is_none(),
+            baseline(&db, &stale.app, Workload::HealthCheck).is_none(),
             "restricted entry must not be served as a Linux baseline"
         );
+        assert!(db.load_all(&store::BASELINES).unwrap().is_empty());
         let fresh = sample_report();
-        db.save(&fresh).unwrap();
-        let served = db.load(&fresh.app, Workload::HealthCheck).unwrap().unwrap();
+        db.put(&store::BASELINES, &fresh).unwrap();
+        let served = baseline(&db, &fresh.app, Workload::HealthCheck).unwrap();
         assert_eq!(
             served, fresh,
             "fresh baseline overwrites the stale entry instead of merging"
@@ -1924,61 +1457,49 @@ mod tests {
 
     #[test]
     fn static_reports_live_in_their_own_level_keyed_namespace() {
-        use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
         let dir = tmpdir("static");
         let db = Database::open(&dir).unwrap();
         let app = registry::find("redis").unwrap();
-        let bin = BinaryAnalyzer::new().analyze(app.as_ref());
-        let src = SourceAnalyzer::new().analyze(app.as_ref());
-        db.save_static(&bin).unwrap();
-        db.save_static(&src).unwrap();
+        let l0 = GraphAnalyzer::new(Level::L0).analyze(app.as_ref());
+        let l3 = GraphAnalyzer::new(Level::L3).analyze(app.as_ref());
+        db.put(&store::STATIC, &l0).unwrap();
+        db.put(&store::STATIC, &l3).unwrap();
 
         // Levels do not collide with each other…
+        let l0_key = static_key(Level::L0, "redis");
+        assert_eq!(db.get(&store::STATIC, &l0_key).unwrap().unwrap(), l0);
         assert_eq!(
-            db.load_static(Level::Binary, "redis").unwrap().unwrap(),
-            bin
+            db.get(&store::STATIC, &static_key(Level::L3, "redis"))
+                .unwrap()
+                .unwrap(),
+            l3
         );
+        assert!(db.contains(&store::STATIC, &l0_key));
+        assert!(!db.contains(&store::STATIC, &static_key(Level::L0, "ghost")));
         assert_eq!(
-            db.load_static(Level::Source, "redis").unwrap().unwrap(),
-            src
+            db.keys(&store::STATIC).unwrap(),
+            vec!["l0/redis".to_owned(), "l3/redis".to_owned()]
         );
-        assert!(db.contains_static(Level::Binary, "redis"));
-        assert!(!db.contains_static(Level::Binary, "ghost"));
-        assert_eq!(
-            db.list_static().unwrap(),
-            vec![
-                (Level::Binary, "redis".to_owned()),
-                (Level::Source, "redis".to_owned())
-            ]
-        );
-        assert_eq!(db.load_static_level(Level::Source).unwrap(), vec![src]);
+        assert_eq!(db.load_all(&store::STATIC).unwrap(), vec![l0.clone(), l3]);
         // …nor with the dynamic namespace: no measurement entries exist.
-        assert!(db.list().unwrap().is_empty());
-        assert!(db.load("redis", Workload::HealthCheck).unwrap().is_none());
+        assert!(db.keys(&store::BASELINES).unwrap().is_empty());
+        assert!(baseline(&db, "redis", Workload::HealthCheck).is_none());
 
         // Re-saving overwrites (pure function, no merge).
-        let mut altered = bin.clone();
+        let mut altered = l0.clone();
         altered.syscalls = loupe_syscalls::SysnoSet::new();
-        db.save_static(&altered).unwrap();
-        assert_eq!(
-            db.load_static(Level::Binary, "redis").unwrap().unwrap(),
-            altered
-        );
+        db.put(&store::STATIC, &altered).unwrap();
+        assert_eq!(db.get(&store::STATIC, &l0_key).unwrap().unwrap(), altered);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn matrix_cells_roundtrip_compose_and_stay_segregated() {
-        use loupe_plan::{MatrixCell, TierOutcome};
         let dir = tmpdir("matrix");
         let db = Database::open(&dir).unwrap();
-        assert!(db.list_matrix_cells().unwrap().is_empty());
+        assert!(db.keys(&store::MATRIX).unwrap().is_empty());
 
         let vanilla_only = MatrixCell {
-            os: "kerla".into(),
-            app: "redis".into(),
-            workload: Workload::HealthCheck,
-            linux_pass: true,
             missing_required: [loupe_syscalls::Sysno::futex].into_iter().collect(),
             vanilla: Some(TierOutcome {
                 pass: false,
@@ -1989,53 +1510,43 @@ mod tests {
                 flag_fake_hits: Vec::new(),
                 first_rejected_flag: None,
             }),
-            planned: None,
-            missing_required_flags: Vec::new(),
+            ..cell("kerla", "redis", Workload::HealthCheck)
         };
-        db.save_matrix_cell(&vanilla_only).unwrap();
-        let back = db
-            .load_matrix_cell("kerla", "redis", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, vanilla_only);
+        let key = matrix_key("kerla", "redis", Workload::HealthCheck);
+        db.put(&store::MATRIX, &vanilla_only).unwrap();
+        assert_eq!(db.get(&store::MATRIX, &key).unwrap().unwrap(), vanilla_only);
 
         // A later planned-tier measurement composes with the stored
         // vanilla verdict instead of clobbering it.
         let planned_only = MatrixCell {
             vanilla: None,
-            planned: Some(TierOutcome {
-                pass: true,
-                ..TierOutcome::default()
-            }),
+            planned: tier(true),
             ..vanilla_only.clone()
         };
-        db.save_matrix_cell(&planned_only).unwrap();
-        let composed = db
-            .load_matrix_cell("kerla", "redis", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
+        db.put(&store::MATRIX, &planned_only).unwrap();
+        let composed = db.get(&store::MATRIX, &key).unwrap().unwrap();
         assert_eq!(composed.vanilla, vanilla_only.vanilla, "vanilla kept");
         assert_eq!(composed.planned, planned_only.planned, "planned added");
 
         // Listing and bulk load see the cell; the measurement namespaces
         // (baseline and env) do not.
-        assert_eq!(
-            db.list_matrix_cells().unwrap(),
-            vec![(
-                "kerla".to_owned(),
-                "redis".to_owned(),
-                Workload::HealthCheck
-            )]
-        );
-        assert_eq!(db.load_matrix().unwrap(), vec![composed]);
-        assert!(db.list().unwrap().is_empty());
-        assert!(db.load("redis", Workload::HealthCheck).unwrap().is_none());
+        assert_eq!(db.keys(&store::MATRIX).unwrap(), vec![key]);
+        assert_eq!(db.load_all(&store::MATRIX).unwrap(), vec![composed]);
+        assert!(db.keys(&store::BASELINES).unwrap().is_empty());
+        assert!(db.keys(&store::ENV).unwrap().is_empty());
+        assert!(baseline(&db, "redis", Workload::HealthCheck).is_none());
         assert!(db
-            .load_env("kerla", "redis", Workload::HealthCheck)
+            .get(
+                &store::ENV,
+                &env_key("kerla", "redis", Workload::HealthCheck)
+            )
             .unwrap()
             .is_none());
         assert!(db
-            .load_matrix_cell("kerla", "redis", Workload::Benchmark)
+            .get(
+                &store::MATRIX,
+                &matrix_key("kerla", "redis", Workload::Benchmark)
+            )
             .unwrap()
             .is_none());
         fs::remove_dir_all(&dir).ok();
@@ -2043,29 +1554,26 @@ mod tests {
 
     #[test]
     fn matrix_cells_coexist_with_env_reports_of_the_same_os() {
-        use loupe_plan::MatrixCell;
         let dir = tmpdir("matrix-env");
         let db = Database::open(&dir).unwrap();
         let mut restricted = sample_report();
         restricted.env = "kerla".into();
-        db.save(&restricted).unwrap();
-        let cell = MatrixCell {
-            os: "kerla".into(),
-            app: restricted.app.clone(),
-            workload: Workload::HealthCheck,
-            linux_pass: true,
-            missing_required: loupe_syscalls::SysnoSet::new(),
-            vanilla: None,
-            planned: None,
-            missing_required_flags: Vec::new(),
-        };
-        db.save_matrix_cell(&cell).unwrap();
+        db.put(&store::ENV, &restricted).unwrap();
+        let cell = cell("kerla", &restricted.app, Workload::HealthCheck);
+        db.put(&store::MATRIX, &cell).unwrap();
         // Both live under env/kerla/ without shadowing each other.
         assert!(db
-            .load_env("kerla", &restricted.app, Workload::HealthCheck)
+            .get(
+                &store::ENV,
+                &env_key("kerla", &restricted.app, Workload::HealthCheck)
+            )
             .unwrap()
             .is_some());
-        assert_eq!(db.load_matrix().unwrap(), vec![cell]);
+        assert_eq!(
+            db.keys(&store::ENV).unwrap(),
+            vec![env_key("kerla", &restricted.app, Workload::HealthCheck)]
+        );
+        assert_eq!(db.load_all(&store::MATRIX).unwrap(), vec![cell]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2073,7 +1581,7 @@ mod tests {
     fn missing_entry_is_none() {
         let dir = tmpdir("missing");
         let db = Database::open(&dir).unwrap();
-        assert!(db.load("ghost", Workload::Benchmark).unwrap().is_none());
+        assert!(baseline(&db, "ghost", Workload::Benchmark).is_none());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2092,7 +1600,7 @@ mod tests {
 
         // A raw save records the output but no provenance — the artifact
         // exists, yet is not current until a stage attaches inputs.
-        db.save(&report).unwrap();
+        db.put(&store::BASELINES, &report).unwrap();
         let output = db.recorded_output(ns::BASELINES, &key).unwrap();
         assert_eq!(output, fingerprint_of(&report));
         assert!(db.recorded_inputs(ns::BASELINES, &key).is_none());
@@ -2117,7 +1625,7 @@ mod tests {
 
         // A subsequent save changes the content (merge doubles counts),
         // so the provenance is wiped until re-attached.
-        db.save(&report).unwrap();
+        db.put(&store::BASELINES, &report).unwrap();
         assert!(!db.is_current(ns::BASELINES, &key, &inputs));
         assert_ne!(db.recorded_output(ns::BASELINES, &key), Some(output));
 
@@ -2131,104 +1639,60 @@ mod tests {
         let counts = db.invalidate_matching(None, Some(&report.app));
         assert!(counts.contains(&(ns::BASELINES.to_owned(), 1)));
         assert!(!db.is_current(ns::BASELINES, &key, &inputs));
-        assert!(db.load(&report.app, report.workload).unwrap().is_some());
+        assert!(baseline(&db, &report.app, report.workload).is_some());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn invalidation_filters_respect_key_shapes() {
-        assert!(key_matches(
-            ns::MATRIX,
-            "kerla/redis/health",
-            Some("kerla"),
-            None
-        ));
-        assert!(!key_matches(
-            ns::MATRIX,
-            "gvisor/redis/health",
-            Some("kerla"),
-            None
-        ));
-        assert!(key_matches(
-            ns::MATRIX,
-            "kerla/redis/health",
-            None,
-            Some("redis")
-        ));
-        assert!(key_matches(
-            ns::SUITES,
-            "kerla/health/redis",
-            Some("kerla"),
-            Some("redis")
-        ));
-        assert!(!key_matches(
-            ns::SUITES,
-            "kerla/health/redis",
-            None,
-            Some("health")
-        ));
-        assert!(key_matches(
-            ns::BASELINES,
-            "redis/health",
-            None,
-            Some("redis")
-        ));
+        let matrix = &store::MATRIX.layout;
+        assert!(matrix.matches("kerla/redis/health", Some("kerla"), None));
+        assert!(!matrix.matches("gvisor/redis/health", Some("kerla"), None));
+        assert!(matrix.matches("kerla/redis/health", None, Some("redis")));
+        let suites = &store::SUITES.layout;
+        assert!(suites.matches("kerla/health/redis", Some("kerla"), Some("redis")));
+        assert!(!suites.matches("kerla/health/redis", None, Some("health")));
+        let baselines = &store::BASELINES.layout;
+        assert!(baselines.matches("redis/health", None, Some("redis")));
         // Baselines carry no OS dimension: an --os filter never hits them.
-        assert!(!key_matches(
-            ns::BASELINES,
-            "redis/health",
-            Some("kerla"),
-            None
-        ));
-        assert!(key_matches(ns::PLANS, "kerla/health", Some("kerla"), None));
-        assert!(!key_matches(ns::PLANS, "kerla/health", None, Some("redis")));
-        assert!(key_matches(ns::STATIC, "binary/redis", None, Some("redis")));
+        assert!(!baselines.matches("redis/health", Some("kerla"), None));
+        let plans = &store::PLANS.layout;
+        assert!(plans.matches("kerla/health", Some("kerla"), None));
+        assert!(!plans.matches("kerla/health", None, Some("redis")));
+        assert!(store::STATIC
+            .layout
+            .matches("l0/redis", None, Some("redis")));
         // No filters → everything matches.
-        assert!(key_matches(ns::MATRIX, "kerla/redis/health", None, None));
+        assert!(matrix.matches("kerla/redis/health", None, None));
     }
 
     #[test]
     fn concurrent_tier_saves_do_not_drop_a_tier() {
-        use loupe_plan::{MatrixCell, TierOutcome};
-        // Regression: save_matrix_cell composes read-modify-write; two
+        // Regression: a matrix put composes read-modify-write; two
         // concurrent single-tier saves used to be able to interleave so
         // the second read missed the first write, dropping a tier.
         let dir = tmpdir("race");
         let db = Database::open(&dir).unwrap();
-        let base = MatrixCell {
-            os: "kerla".into(),
-            app: "redis".into(),
-            workload: Workload::HealthCheck,
-            linux_pass: true,
-            missing_required: loupe_syscalls::SysnoSet::new(),
-            vanilla: None,
-            planned: None,
-            missing_required_flags: Vec::new(),
-        };
         for round in 0..16 {
+            let app = format!("redis{round}");
             let vanilla = MatrixCell {
-                app: format!("redis{round}"),
-                vanilla: Some(TierOutcome {
-                    pass: true,
-                    ..TierOutcome::default()
-                }),
-                ..base.clone()
+                vanilla: tier(true),
+                ..cell("kerla", &app, Workload::HealthCheck)
             };
             let planned = MatrixCell {
-                app: format!("redis{round}"),
-                planned: Some(TierOutcome {
-                    pass: false,
-                    ..TierOutcome::default()
-                }),
-                ..base.clone()
+                planned: tier(false),
+                ..cell("kerla", &app, Workload::HealthCheck)
             };
             let (db1, db2) = (db.clone(), db.clone());
-            let t1 = std::thread::spawn(move || db1.save_matrix_cell(&vanilla).unwrap());
-            let t2 = std::thread::spawn(move || db2.save_matrix_cell(&planned).unwrap());
+            let t1 = std::thread::spawn(move || db1.put(&store::MATRIX, &vanilla).unwrap());
+            let t2 = std::thread::spawn(move || db2.put(&store::MATRIX, &planned).unwrap());
             t1.join().unwrap();
             t2.join().unwrap();
             let cell = db
-                .load_matrix_cell("kerla", &format!("redis{round}"), Workload::HealthCheck)
+                .get(
+                    &store::MATRIX,
+                    &matrix_key("kerla", &app, Workload::HealthCheck),
+                )
                 .unwrap()
                 .unwrap();
             assert!(cell.vanilla.is_some(), "vanilla tier lost in round {round}");
@@ -2239,26 +1703,19 @@ mod tests {
 
     #[test]
     fn point_reads_decode_lazily_from_the_mapped_index() {
-        use loupe_plan::{MatrixCell, TierOutcome};
         let dir = tmpdir("lazypoint");
         let db = Database::open(&dir).unwrap();
         for app in ["alpha", "beta"] {
-            db.save_matrix_cell(&MatrixCell {
-                os: "kerla".into(),
-                app: app.into(),
-                workload: Workload::HealthCheck,
-                linux_pass: true,
-                missing_required: loupe_syscalls::SysnoSet::new(),
-                vanilla: Some(TierOutcome {
-                    pass: true,
-                    ..TierOutcome::default()
-                }),
-                planned: None,
-                missing_required_flags: Vec::new(),
-            })
+            db.put(
+                &store::MATRIX,
+                &MatrixCell {
+                    vanilla: tier(true),
+                    ..cell("kerla", app, Workload::HealthCheck)
+                },
+            )
             .unwrap();
         }
-        db.load_matrix().unwrap(); // materialise the binary index
+        db.load_all(&store::MATRIX).unwrap(); // materialise the binary index
         drop(db);
 
         // Remove one JSON entry out-of-band WITHOUT touching the
@@ -2275,13 +1732,19 @@ mod tests {
         .unwrap();
         let db = Database::open(&dir).unwrap();
         let cell = db
-            .load_matrix_cell("kerla", "alpha", Workload::HealthCheck)
+            .get(
+                &store::MATRIX,
+                &matrix_key("kerla", "alpha", Workload::HealthCheck),
+            )
             .unwrap()
             .expect("point read served from the mapped index");
         assert_eq!(cell.app, "alpha");
         // A key the index does not hold falls back to JSON (absent).
         assert!(db
-            .load_matrix_cell("kerla", "gamma", Workload::HealthCheck)
+            .get(
+                &store::MATRIX,
+                &matrix_key("kerla", "gamma", Workload::HealthCheck)
+            )
             .unwrap()
             .is_none());
         fs::remove_dir_all(&dir).ok();
@@ -2289,28 +1752,18 @@ mod tests {
 
     #[test]
     fn binary_snapshot_serves_bulk_reads_and_heals_on_corruption() {
-        use loupe_plan::{MatrixCell, TierOutcome};
         let dir = tmpdir("binsnap");
         let db = Database::open(&dir).unwrap();
         let mut cells = Vec::new();
         for app in ["alpha", "beta", "gamma"] {
             let cell = MatrixCell {
-                os: "kerla".into(),
-                app: app.into(),
-                workload: Workload::Benchmark,
-                linux_pass: true,
-                missing_required: loupe_syscalls::SysnoSet::new(),
-                vanilla: Some(TierOutcome {
-                    pass: app != "beta",
-                    ..TierOutcome::default()
-                }),
-                planned: None,
-                missing_required_flags: Vec::new(),
+                vanilla: tier(app != "beta"),
+                ..cell("kerla", app, Workload::Benchmark)
             };
-            db.save_matrix_cell(&cell).unwrap();
+            db.put(&store::MATRIX, &cell).unwrap();
             cells.push(cell);
         }
-        let loaded = db.load_matrix().unwrap();
+        let loaded = db.load_all(&store::MATRIX).unwrap();
         assert_eq!(loaded, cells);
         let bin = dir.join("index").join("matrix.bin");
         assert!(bin.is_file(), "bulk load materialises the binary index");
@@ -2318,13 +1771,13 @@ mod tests {
 
         // A fresh process serves the same bytes from the snapshot.
         let db = Database::open(&dir).unwrap();
-        assert_eq!(db.load_matrix().unwrap(), cells);
+        assert_eq!(db.load_all(&store::MATRIX).unwrap(), cells);
         drop(db);
 
         // Corrupting the snapshot only costs a rebuild, never wrong data.
         fs::write(&bin, b"LOUPEBINgarbage").unwrap();
         let db = Database::open(&dir).unwrap();
-        assert_eq!(db.load_matrix().unwrap(), cells);
+        assert_eq!(db.load_all(&store::MATRIX).unwrap(), cells);
         drop(db);
 
         // An out-of-band JSON edit is invisible while the snapshot still
@@ -2351,7 +1804,7 @@ mod tests {
         fs::remove_file(&bin).unwrap();
 
         let db = Database::open(&dir).unwrap();
-        let reloaded = db.load_matrix().unwrap();
+        let reloaded = db.load_all(&store::MATRIX).unwrap();
         assert_eq!(reloaded[1], edited, "rebuild sees the out-of-band edit");
         assert!(
             db.recorded_inputs(
@@ -2361,6 +1814,218 @@ mod tests {
             .is_none(),
             "rebuild clears provenance of out-of-band-edited artifacts"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One artifact of every kind, stored into `db`; returns each one's
+    /// `(namespace, key)` together with its pretty JSON.
+    fn one_of_each(db: &Database) -> Vec<(&'static str, String, String)> {
+        fn put<T: Artifact>(
+            db: &Database,
+            ns: &Namespace<T>,
+            value: &T,
+        ) -> (&'static str, String, String) {
+            db.put(ns, value).unwrap();
+            let json = serde_json::to_string_pretty(value).unwrap();
+            (ns.layout.name, (ns.key)(value), json)
+        }
+        let report = sample_report();
+        let mut restricted = report.clone();
+        restricted.env = "kerla-step3".into();
+        let spec = loupe_plan::os::find("kerla").unwrap();
+        let app = registry::find("redis").unwrap();
+        vec![
+            put(db, &store::BASELINES, &report),
+            put(db, &store::ENV, &restricted),
+            put(
+                db,
+                &store::MATRIX,
+                &MatrixCell {
+                    vanilla: tier(true),
+                    ..cell("kerla", "redis", Workload::HealthCheck)
+                },
+            ),
+            put(db, &store::PLANS, &sample_validation()),
+            put(
+                db,
+                &store::STATIC,
+                &GraphAnalyzer::new(Level::L0).analyze(app.as_ref()),
+            ),
+            put(
+                db,
+                &store::SUITES,
+                &ConformanceSuite::generate(&spec, &report, None),
+            ),
+        ]
+    }
+
+    #[test]
+    fn on_disk_layout_and_manifest_keys_are_pinned() {
+        // Relative paths and manifest keys as written by every earlier
+        // version of the store: a database populated before must stay
+        // readable, and its manifest must stay all-hit.
+        let dir = tmpdir("golden");
+        let db = Database::open(&dir).unwrap();
+        let stored = one_of_each(&db);
+        let app = sample_report().app;
+        let golden = [
+            (
+                ns::BASELINES,
+                format!("{app}/health"),
+                format!("{app}/health.json"),
+            ),
+            (
+                ns::ENV,
+                format!("kerla-step3/{app}/health"),
+                format!("env/kerla-step3/{app}/health.json"),
+            ),
+            (
+                ns::MATRIX,
+                "kerla/redis/health".to_owned(),
+                "env/kerla/matrix/redis/health.json".to_owned(),
+            ),
+            (
+                ns::PLANS,
+                "kerla/health".to_owned(),
+                "plans/kerla/health.json".to_owned(),
+            ),
+            (
+                ns::STATIC,
+                "l0/redis".to_owned(),
+                "static/l0/redis.json".to_owned(),
+            ),
+            (
+                ns::SUITES,
+                format!("kerla/health/{app}"),
+                format!("gentests/kerla/health/{app}.json"),
+            ),
+        ];
+        for ((namespace, key, json), (want_ns, want_key, want_path)) in stored.iter().zip(&golden) {
+            assert_eq!((namespace, key), (want_ns, want_key));
+            assert!(db.recorded_output(namespace, key).is_some(), "{key}");
+            // The stored bytes are exactly the artifact's pretty JSON.
+            assert_eq!(&fs::read_to_string(dir.join(want_path)).unwrap(), json);
+        }
+        let spec = loupe_plan::os::find("kerla").unwrap();
+        assert_eq!(db.save_os_spec(&spec).unwrap(), dir.join("os/kerla.csv"));
+        // Nothing else lands in the tree: no temp files survive a put.
+        let mut files = Vec::new();
+        let mut dirs = vec![dir.clone()];
+        while let Some(d) = dirs.pop() {
+            for entry in fs::read_dir(d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    files.push(
+                        path.strip_prefix(&dir)
+                            .unwrap()
+                            .to_string_lossy()
+                            .into_owned(),
+                    );
+                }
+            }
+        }
+        files.sort();
+        let mut want: Vec<String> = golden.iter().map(|g| g.2.clone()).collect();
+        want.extend([LOCK_FILE.to_owned(), "os/kerla.csv".to_owned()]);
+        want.sort();
+        assert_eq!(files, want);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stray_temp_files_are_invisible_to_listing_and_bulk_loads() {
+        let dir = tmpdir("stray-tmp");
+        let db = Database::open(&dir).unwrap();
+        let stored = one_of_each(&db);
+        let before: Vec<Vec<String>> = store::ALL
+            .iter()
+            .map(|layout| layout.walk(&dir).unwrap())
+            .collect();
+        // What a writer killed between its temp write and the rename
+        // leaves behind, in every directory of every namespace.
+        for (namespace, key, _) in &stored {
+            let path = dir.join(layout_of(namespace).path(key));
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let mut d = path.parent();
+            while let Some(parent) = d.filter(|p| p.starts_with(&dir)) {
+                fs::write(parent.join(format!(".{name}.1.0.tmp")), b"{ torn").unwrap();
+                fs::write(parent.join("stray.tmp"), b"").unwrap();
+                d = parent.parent();
+            }
+        }
+        let after: Vec<Vec<String>> = store::ALL
+            .iter()
+            .map(|layout| layout.walk(&dir).unwrap())
+            .collect();
+        assert_eq!(after, before);
+        fs::remove_dir_all(dir.join("index")).ok();
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.load_all(&store::BASELINES).unwrap().len(), 1);
+        assert_eq!(db.load_all(&store::ENV).unwrap().len(), 1);
+        assert_eq!(db.load_all(&store::MATRIX).unwrap().len(), 1);
+        assert_eq!(db.load_all(&store::PLANS).unwrap().len(), 1);
+        assert_eq!(db.load_all(&store::STATIC).unwrap().len(), 1);
+        assert_eq!(db.load_all(&store::SUITES).unwrap().len(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    fn layout_of(namespace: &str) -> &'static store::Layout {
+        store::ALL.iter().find(|l| l.name == namespace).unwrap()
+    }
+
+    /// `get` and `load_all` of `namespace`, with the values dropped.
+    fn read_back(db: &Database, namespace: &str, key: &str) -> [Result<(), DbError>; 2] {
+        fn both<T: Artifact>(
+            db: &Database,
+            ns: &Namespace<T>,
+            key: &str,
+        ) -> [Result<(), DbError>; 2] {
+            [db.get(ns, key).map(drop), db.load_all(ns).map(drop)]
+        }
+        match namespace {
+            ns::BASELINES => both(db, &store::BASELINES, key),
+            ns::ENV => both(db, &store::ENV, key),
+            ns::MATRIX => both(db, &store::MATRIX, key),
+            ns::PLANS => both(db, &store::PLANS, key),
+            ns::STATIC => both(db, &store::STATIC, key),
+            ns::SUITES => both(db, &store::SUITES, key),
+            other => panic!("unknown namespace {other}"),
+        }
+    }
+
+    #[test]
+    fn damaged_files_are_errors_naming_the_file_never_panics() {
+        let dir = tmpdir("damaged");
+        let stored = one_of_each(&Database::open(&dir).unwrap());
+        for (namespace, key, json) in &stored {
+            let path = dir.join(layout_of(namespace).path(key));
+            let bytes = json.as_bytes();
+            // Truncations (a torn write) must name the file.
+            for torn in [&bytes[..0], &bytes[..bytes.len() / 2]] {
+                fs::write(&path, torn).unwrap();
+                fs::remove_dir_all(dir.join("index")).ok();
+                for result in read_back(&Database::open(&dir).unwrap(), namespace, key) {
+                    assert!(
+                        matches!(&result, Err(DbError::Corrupt { path: p, .. }) if *p == path),
+                        "{namespace} truncated to {} bytes: {result:?}",
+                        torn.len()
+                    );
+                }
+            }
+            // A flipped byte anywhere — including one that breaks UTF-8 —
+            // may parse or fail, but never panics.
+            for i in 0..16 {
+                let at = i * bytes.len() / 16;
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= if i % 4 == 0 { 0x80 } else { 0x01 };
+                fs::write(&path, &flipped).unwrap();
+                fs::remove_dir_all(dir.join("index")).ok();
+                let _ = read_back(&Database::open(&dir).unwrap(), namespace, key);
+            }
+            fs::write(&path, bytes).unwrap();
+        }
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -366,9 +366,9 @@ pub fn read(path: &Path, expected_state: Fingerprint) -> Option<Vec<(String, Val
     MappedSnapshot::open(path, expected_state)?.decode_all()
 }
 
-/// Writes a snapshot for `entries` tagged with `state`. Best-effort
-/// atomic (temp file + rename); errors are reported but harmless — a
-/// missing snapshot only costs the next rebuild.
+/// Writes a snapshot for `entries` tagged with `state`, atomically
+/// (`write_atomic`); errors are reported but harmless — a missing
+/// snapshot only costs the next rebuild.
 pub fn write<'a>(
     path: &Path,
     state: Fingerprint,
@@ -388,12 +388,7 @@ pub fn write<'a>(
         put_varint(scratch.len() as u64, &mut buf);
         buf.extend_from_slice(&scratch);
     }
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension("bin.tmp");
-    fs::write(&tmp, &buf)?;
-    fs::rename(&tmp, path)
+    crate::write_atomic(path, &buf)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use loupe_apps::Workload;
-use loupe_db::Database;
+use loupe_db::{store, Database};
 use loupe_plan::{MatrixCell, TierOutcome};
 use loupe_syscalls::SysnoSet;
 
@@ -43,7 +43,8 @@ fn cell(app: usize, vanilla: bool) -> MatrixCell {
 fn hammer(db: &Database, vanilla: bool) {
     for _ in 0..ROUNDS {
         for app in 0..APPS {
-            db.save_matrix_cell(&cell(app, vanilla)).expect("save cell");
+            db.put(&store::MATRIX, &cell(app, vanilla))
+                .expect("save cell");
         }
     }
 }
@@ -94,7 +95,10 @@ fn concurrent_processes_never_drop_a_tier() {
     let db = Database::open(&dir).expect("verify open");
     for app in 0..APPS {
         let stored = db
-            .load_matrix_cell("locktest", &format!("app-{app:02}"), Workload::HealthCheck)
+            .get(
+                &store::MATRIX,
+                &loupe_db::matrix_key("locktest", &format!("app-{app:02}"), Workload::HealthCheck),
+            )
             .expect("load cell")
             .unwrap_or_else(|| panic!("cell app-{app:02} missing"));
         assert!(

@@ -25,8 +25,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use loupe_apps::Workload;
-use loupe_db::{Database, DbError};
-use loupe_plan::{os, SupportPlan, Tier};
+use loupe_db::{store, Database, DbError};
+use loupe_plan::{os, AppRequirement, SupportPlan, Tier};
 use loupe_sweep::matrix::{aggregate, os_sizes};
 use loupe_syscalls::SysnoSet;
 
@@ -144,7 +144,7 @@ impl ServeIndex {
     ///
     /// Database I/O and corruption errors.
     pub fn build(db: Database, generation: u64) -> Result<ServeIndex, DbError> {
-        let cells = db.load_matrix()?;
+        let cells = db.load_all(&store::MATRIX)?;
         let mut shards: Vec<Shard> = (0..SHARDS).map(|_| Shard::default()).collect();
         let mut oses = BTreeSet::new();
         let mut apps = BTreeSet::new();
@@ -485,11 +485,9 @@ impl ServeIndex {
     fn build_analytics(&self) -> Result<Analytics, DbError> {
         let mut analytics = Analytics::default();
         let mut by_syscall: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for &workload in Workload::ALL {
-            let reqs = self.db.requirements(workload)?;
-            if reqs.is_empty() {
-                continue;
-            }
+        for (workload, reports) in loupe_sweep::report::reports_by_workload(&self.db)? {
+            let reqs: Vec<AppRequirement> =
+                reports.iter().map(AppRequirement::from_report).collect();
             for req in &reqs {
                 for sysno in req.required.iter() {
                     by_syscall

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use loupe_apps::{registry, Workload};
-use loupe_db::Database;
+use loupe_db::{store, Database};
 use loupe_plan::{os, MatrixCell, Tier, TierOutcome};
 use loupe_serve::{CellQuery, Client, Request, ServeConfig, Server};
 use loupe_sweep::{MatrixConfig, SweepConfig};
@@ -67,7 +67,7 @@ fn daemon_answers_the_documented_queries() {
     let dir = tmpdir("e2e");
     populate(&dir);
     let db = Database::open(&dir).unwrap();
-    let cells = db.load_matrix().unwrap();
+    let cells = db.load_all(&store::MATRIX).unwrap();
     assert_eq!(cells.len(), 8, "fixture: 2 OSes x 4 apps x 1 workload");
 
     let server = start(&dir, ServeConfig::default());
@@ -239,7 +239,7 @@ fn seed_synthetic(dir: &Path, oses: &[&str], apps: &[&str], planned_pass: bool) 
                     }),
                     missing_required_flags: Vec::new(),
                 };
-                db.save_matrix_cell_replacing(&cell).unwrap();
+                db.put_replacing(&store::MATRIX, &cell).unwrap();
             }
         }
     }

@@ -74,7 +74,7 @@ impl StaticReport {
 }
 
 /// Analysis precision level, naive binary (L0) to source-aware (L3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Level {
     /// Naive binary analysis: all address-taken functions are indirect
     /// targets, register-number syscall sites expand to the full table.
@@ -87,52 +87,9 @@ pub enum Level {
     L3,
 }
 
-// Manual serde impls: pre-ladder databases stored the two historic
-// levels under `"Binary"`/`"Source"`, which must keep deserializing
-// (into L0/L3) alongside the ladder names.
-impl Serialize for Level {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(
-            match self {
-                Level::L0 => "L0",
-                Level::L1 => "L1",
-                Level::L2 => "L2",
-                Level::L3 => "L3",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl Deserialize for Level {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let name = v
-            .as_str()
-            .ok_or_else(|| serde::Error::custom(format!("expected level name, got {v:?}")))?;
-        match name {
-            "L0" | "Binary" => Ok(Level::L0),
-            "L1" => Ok(Level::L1),
-            "L2" => Ok(Level::L2),
-            "L3" | "Source" => Ok(Level::L3),
-            other => Err(serde::Error::custom(format!(
-                "unknown analysis level `{other}`"
-            ))),
-        }
-    }
-}
-
 impl Level {
     /// Every level, coarsest first (the precision ladder).
     pub const ALL: [Level; 4] = [Level::L0, Level::L1, Level::L2, Level::L3];
-
-    /// The historic binary-level analysis: an alias for [`Level::L0`]
-    /// (pre-ladder databases store this name).
-    #[allow(non_upper_case_globals)]
-    pub const Binary: Level = Level::L0;
-
-    /// The historic source-level analysis: an alias for [`Level::L3`].
-    #[allow(non_upper_case_globals)]
-    pub const Source: Level = Level::L3;
 
     /// Stable lowercase label (db namespace keys, report tables, CLI).
     pub fn label(self) -> &'static str {
@@ -141,16 +98,6 @@ impl Level {
             Level::L1 => "l1",
             Level::L2 => "l2",
             Level::L3 => "l3",
-        }
-    }
-
-    /// The label pre-ladder databases stored this level under, for the
-    /// levels that existed then.
-    pub fn legacy_label(self) -> Option<&'static str> {
-        match self {
-            Level::L0 => Some("binary"),
-            Level::L3 => Some("source"),
-            _ => None,
         }
     }
 
@@ -178,7 +125,7 @@ impl Level {
     }
 
     /// Parses a CLI/user spelling: `l0`..`l3`, bare digits, or the
-    /// legacy `binary`/`source` names.
+    /// `binary`/`source` names of the ladder's two ends.
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "l0" | "0" | "binary" => Some(Level::L0),
@@ -488,50 +435,6 @@ impl StaticAnalyzer for GraphAnalyzer {
     }
 }
 
-/// Binary-level analyser (à la Tsai et al. / sysfilter): the naive
-/// [`Level::L0`] configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinaryAnalyzer;
-
-impl BinaryAnalyzer {
-    /// Creates the analyser.
-    pub fn new() -> BinaryAnalyzer {
-        BinaryAnalyzer
-    }
-}
-
-impl StaticAnalyzer for BinaryAnalyzer {
-    fn analyze(&self, app: &dyn AppModel) -> StaticReport {
-        GraphAnalyzer::new(Level::L0).analyze(app)
-    }
-
-    fn level(&self) -> Level {
-        Level::L0
-    }
-}
-
-/// Source-level analyser (à la the Unikraft source analyser): the
-/// [`Level::L3`] configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SourceAnalyzer;
-
-impl SourceAnalyzer {
-    /// Creates the analyser.
-    pub fn new() -> SourceAnalyzer {
-        SourceAnalyzer
-    }
-}
-
-impl StaticAnalyzer for SourceAnalyzer {
-    fn analyze(&self, app: &dyn AppModel) -> StaticReport {
-        GraphAnalyzer::new(Level::L3).analyze(app)
-    }
-
-    fn level(&self) -> Level {
-        Level::L3
-    }
-}
-
 /// API importance under static analysis: for each syscall, the fraction
 /// of `reports` that contain it (the metric of Tsai et al. reused in
 /// §5.1).
@@ -658,25 +561,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_levels_alias_the_ladder_ends() {
-        assert_eq!(Level::Binary, Level::L0);
-        assert_eq!(Level::Source, Level::L3);
+    fn cli_spellings_parse_to_ladder_levels() {
         assert_eq!(Level::parse("binary"), Some(Level::L0));
         assert_eq!(Level::parse("source"), Some(Level::L3));
         assert_eq!(Level::parse("L2"), Some(Level::L2));
+        assert_eq!(Level::parse("1"), Some(Level::L1));
         assert_eq!(Level::parse("nope"), None);
-        // Pre-ladder reports deserialize into the aliased levels, with
-        // no witnesses.
-        let old = r#"{"app":"redis","level":"Binary","syscalls":[0]}"#;
-        let report: StaticReport = serde_json::from_str(old).unwrap();
-        assert_eq!(report.level, Level::L0);
-        assert!(report.witnesses.is_empty());
-        let app = registry::find("redis").unwrap();
-        let b = BinaryAnalyzer::new().analyze(app.as_ref());
-        let s = SourceAnalyzer::new().analyze(app.as_ref());
-        assert_eq!(b.level, Level::L0);
-        assert_eq!(s.level, Level::L3);
-        assert!(s.syscalls.is_subset(&b.syscalls));
     }
 
     #[test]
@@ -684,13 +574,13 @@ mod tests {
         // The source level includes error-path syscalls the workloads
         // never execute; spot-check one known dead branch.
         let app = registry::find("redis").unwrap();
-        let s = SourceAnalyzer::new().analyze(app.as_ref());
+        let s = GraphAnalyzer::new(Level::L3).analyze(app.as_ref());
         assert!(s.syscalls.contains(loupe_syscalls::Sysno::mremap));
     }
 
     #[test]
     fn importance_is_sorted_descending() {
-        let bin = BinaryAnalyzer::new();
+        let bin = GraphAnalyzer::new(Level::L0);
         let reports: Vec<_> = registry::detailed()
             .iter()
             .map(|a| bin.analyze(a.as_ref()))

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use loupe_apps::{AppModel, Workload};
 use loupe_core::{fingerprint_of, AppReport, Fingerprint};
-use loupe_db::{ns, Database, DbError};
+use loupe_db::{ns, store, Database, DbError};
 use loupe_gentests::ConformanceSuite;
 use loupe_plan::{OsSpec, Tier};
 
@@ -145,9 +145,7 @@ pub fn sweep_gentests(
                     inputs.insert("cell".to_owned(), fp);
                 }
                 None => {
-                    if let Some(cell) =
-                        db.load_matrix_cell(&os_spec.name, &report.app, report.workload)?
-                    {
+                    if let Some(cell) = db.get(&store::MATRIX, &mkey)? {
                         inputs.insert("cell".to_owned(), fingerprint_of(&cell));
                     }
                 }
@@ -204,12 +202,12 @@ pub fn sweep_gentests(
                 }
             }
         }
-        let cell = match db.load_matrix_cell(os, app, workload) {
+        let cell = match db.get(&store::MATRIX, &loupe_db::matrix_key(os, app, workload)) {
             Ok(cell) => cell,
             Err(e) => return JobOut::Db(e),
         };
         let fresh = ConformanceSuite::generate(job.os, job.report, cell.as_ref());
-        let stored = match db.load_suite(os, app, workload) {
+        let stored = match db.get(&store::SUITES, &key) {
             Ok(stored) => stored,
             Err(e) => return JobOut::Db(e),
         };
@@ -249,7 +247,7 @@ pub fn sweep_gentests(
             } else {
                 db.note_miss(ns::SUITES);
             }
-            if let Err(e) = db.save_suite(&fresh) {
+            if let Err(e) = db.put(&store::SUITES, &fresh) {
                 return JobOut::Db(e);
             }
             db.record_provenance(ns::SUITES, &key, job.inputs.clone(), meta);
@@ -400,7 +398,10 @@ mod tests {
             assert!(row.vanilla_pass <= row.planned_pass, "{row:?}");
         }
         let stored = db
-            .load_suite("kerla", "redis", Workload::HealthCheck)
+            .get(
+                &store::SUITES,
+                &loupe_db::suite_key("kerla", "redis", Workload::HealthCheck),
+            )
             .unwrap()
             .expect("suite persisted");
         assert!(stored.expected.vanilla.is_some(), "verdicts carried");
@@ -428,11 +429,14 @@ mod tests {
         sweep_gentests(&db, apps(), &small_cfg(oses.clone(), 1)).unwrap();
         // Tamper with one stored suite.
         let mut broken = db
-            .load_suite("kerla", apps()[0].name(), Workload::HealthCheck)
+            .get(
+                &store::SUITES,
+                &loupe_db::suite_key("kerla", apps()[0].name(), Workload::HealthCheck),
+            )
             .unwrap()
             .unwrap();
         broken.cases.pop();
-        db.save_suite(&broken).unwrap();
+        db.put(&store::SUITES, &broken).unwrap();
 
         let mut cfg = small_cfg(oses, 1);
         cfg.check = true;
@@ -441,9 +445,12 @@ mod tests {
         assert!(!checked.is_clean());
         // Nothing was repaired in check mode...
         assert_eq!(
-            db.load_suite("kerla", apps()[0].name(), Workload::HealthCheck)
-                .unwrap()
-                .unwrap(),
+            db.get(
+                &store::SUITES,
+                &loupe_db::suite_key("kerla", apps()[0].name(), Workload::HealthCheck)
+            )
+            .unwrap()
+            .unwrap(),
             broken
         );
         // ...but a normal sweep heals it.

@@ -71,7 +71,7 @@ use loupe_core::{
     fingerprint_of, transfer_hints, AnalysisConfig, AppReport, Engine, FeatureClass, Fingerprint,
     RunStats,
 };
-use loupe_db::{ns, CacheStats, Database, DbError};
+use loupe_db::{ns, store, CacheStats, Database, DbError};
 use loupe_plan::{api_importance, AppRequirement, ImportancePoint};
 use loupe_syscalls::{Category, Sysno};
 
@@ -384,7 +384,7 @@ impl Sweep {
         // merging with content produced by other inputs would poison the
         // fresh measurement.
         let current = db.is_current(ns::BASELINES, &key, &inputs);
-        let had_entry = match db.load(app.name(), workload) {
+        let had_entry = match db.get(&store::BASELINES, &key) {
             Ok(Some(cached)) if current && !self.cfg.force => {
                 db.note_hit(ns::BASELINES);
                 return JobOutcome::Cached(cached);
@@ -410,10 +410,11 @@ impl Sweep {
                 })
             }
         };
+        let namespace = store::reports(&report.env);
         let saved = if stale {
-            db.save_replacing(&report)
+            db.put_replacing(namespace, &report)
         } else {
-            db.save(&report)
+            db.put(namespace, &report)
         };
         if let Err(e) = saved {
             return JobOutcome::Db(e);
@@ -428,7 +429,7 @@ impl Sweep {
         }
         // A forced re-measure merged conservatively with the stored entry;
         // report what the database now holds so summaries match later reads.
-        match db.load(&report.app, workload) {
+        match db.get(&store::BASELINES, &key) {
             Ok(Some(stored)) => JobOutcome::Fresh(stored),
             Ok(None) => JobOutcome::Fresh(report),
             Err(e) => JobOutcome::Db(e),
@@ -597,10 +598,12 @@ mod tests {
         assert_eq!(first.cached, 0);
         assert!(first.failures.is_empty());
         for n in &names {
-            assert!(db.contains(n, Workload::HealthCheck), "{n} persisted");
-            assert!(db.load(n, Workload::HealthCheck).unwrap().is_some());
+            let key = loupe_db::baseline_key(n, Workload::HealthCheck);
+            assert!(db.contains(&store::BASELINES, &key), "{n} persisted");
+            assert!(db.get(&store::BASELINES, &key).unwrap().is_some());
         }
-        assert!(!db.contains("ghost", Workload::HealthCheck));
+        let ghost = loupe_db::baseline_key("ghost", Workload::HealthCheck);
+        assert!(!db.contains(&store::BASELINES, &ghost));
 
         let apps: Vec<_> = registry::detailed().into_iter().take(4).collect();
         let second = health_sweep(2).run(&db, apps).unwrap();
@@ -700,7 +703,10 @@ mod tests {
             failure.error
         );
         assert!(
-            !db.contains("panicking-app", Workload::HealthCheck),
+            !db.contains(
+                &store::BASELINES,
+                &loupe_db::baseline_key("panicking-app", Workload::HealthCheck)
+            ),
             "nothing persisted for the panicked app"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -750,9 +756,18 @@ mod tests {
         assert_eq!(linux.cached, 0);
         assert_eq!(linux.reports[0].env, "linux");
         // Both measurements coexist under their own namespaces.
-        assert!(db.load(&name, Workload::HealthCheck).unwrap().is_some());
         assert!(db
-            .load_env("mid-plan", &name, Workload::HealthCheck)
+            .get(
+                &store::BASELINES,
+                &loupe_db::baseline_key(&name, Workload::HealthCheck)
+            )
+            .unwrap()
+            .is_some());
+        assert!(db
+            .get(
+                &store::ENV,
+                &loupe_db::env_key("mid-plan", &name, Workload::HealthCheck)
+            )
             .unwrap()
             .is_some());
         std::fs::remove_dir_all(&dir).ok();

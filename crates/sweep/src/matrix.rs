@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use loupe_apps::{AppModel, Workload};
 use loupe_core::{fingerprint_of, Fingerprint, TestScript};
-use loupe_db::{ns, Database, DbError};
+use loupe_db::{ns, store, Database, DbError};
 use loupe_plan::{measure_cell, os, AppRequirement, MatrixCell, OsSpec, Tier};
 use loupe_syscalls::Sysno;
 
@@ -250,7 +250,7 @@ pub fn sweep_matrix(
     let outcomes = pool::run_jobs(workers, &jobs, |job| {
         let key = loupe_db::matrix_key(&job.os.name, &job.req.app, job.workload);
         let current = db.is_current(ns::MATRIX, &key, &job.inputs);
-        let stored = match db.load_matrix_cell(&job.os.name, &job.req.app, job.workload) {
+        let stored = match db.get(&store::MATRIX, &key) {
             Ok(Some(cell)) if current && !cfg.sweep.force && needs(&cell) => {
                 db.note_hit(ns::MATRIX);
                 return JobOut::Cached;
@@ -290,9 +290,9 @@ pub fn sweep_matrix(
             Some(job.baseline_features),
         );
         let saved = if stale {
-            db.save_matrix_cell_replacing(&cell)
+            db.put_replacing(&store::MATRIX, &cell)
         } else {
-            db.save_matrix_cell(&cell)
+            db.put(&store::MATRIX, &cell)
         };
         if let Err(e) = saved {
             return JobOut::Db(e);
@@ -334,7 +334,7 @@ pub fn sweep_matrix(
     let swept: std::collections::BTreeSet<&str> =
         cfg.oses.iter().map(|o| o.name.as_str()).collect();
     let cells: Vec<MatrixCell> = db
-        .load_matrix()?
+        .load_all(&store::MATRIX)?
         .into_iter()
         .filter(|c| swept.contains(c.os.as_str()))
         .collect();
@@ -394,7 +394,10 @@ mod tests {
             assert!(row.planned_pass >= row.vanilla_pass, "{row:?}");
         }
         assert!(db
-            .load_matrix_cell("kerla", "redis", Workload::HealthCheck)
+            .get(
+                &store::MATRIX,
+                &loupe_db::matrix_key("kerla", "redis", Workload::HealthCheck)
+            )
             .unwrap()
             .is_some());
 
@@ -419,7 +422,10 @@ mod tests {
         cfg.tier = Some(Tier::Vanilla);
         sweep_matrix(&db, apps(), &cfg).unwrap();
         let cell = db
-            .load_matrix_cell("kerla", apps()[0].name(), Workload::HealthCheck)
+            .get(
+                &store::MATRIX,
+                &loupe_db::matrix_key("kerla", apps()[0].name(), Workload::HealthCheck),
+            )
             .unwrap()
             .unwrap();
         assert!(cell.vanilla.is_some());
@@ -430,7 +436,10 @@ mod tests {
         let full = sweep_matrix(&db, apps(), &cfg).unwrap();
         assert_eq!(full.matrix.as_ref().unwrap().analyzed, 2);
         let cell = db
-            .load_matrix_cell("kerla", apps()[0].name(), Workload::HealthCheck)
+            .get(
+                &store::MATRIX,
+                &loupe_db::matrix_key("kerla", apps()[0].name(), Workload::HealthCheck),
+            )
             .unwrap()
             .unwrap();
         assert!(cell.vanilla.is_some() && cell.planned.is_some());

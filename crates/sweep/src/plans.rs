@@ -9,8 +9,10 @@ use std::fmt;
 
 use loupe_apps::{registry, Workload};
 use loupe_core::fingerprint_of;
-use loupe_db::{ns, Database, DbError};
-use loupe_plan::{os, OsSpec, PlanValidation, PlanValidator, SupportPlan, ValidateError};
+use loupe_db::{ns, store, Database, DbError};
+use loupe_plan::{
+    os, AppRequirement, OsSpec, PlanValidation, PlanValidator, SupportPlan, ValidateError,
+};
 
 /// Errors from a fleet-wide validation pass.
 #[derive(Debug)]
@@ -61,11 +63,12 @@ pub fn validate_plans(
 ) -> Result<Vec<PlanValidation>, PlanSweepError> {
     let validator = PlanValidator::new();
     let mut out = Vec::new();
+    let grouped = crate::report::reports_by_workload(db)?;
     for &workload in workloads {
-        let reqs = db.requirements(workload)?;
-        if reqs.is_empty() {
+        let Some(reports) = grouped.get(&workload) else {
             continue;
-        }
+        };
+        let reqs: Vec<AppRequirement> = reports.iter().map(AppRequirement::from_report).collect();
         // One requirements fingerprint per workload, one OS fingerprint
         // per spec: a validation is a deterministic replay of the plan
         // generated from exactly these two inputs.
@@ -76,7 +79,7 @@ pub fn validate_plans(
             inputs.insert("os".to_owned(), fingerprint_of(spec));
             inputs.insert("requirements".to_owned(), reqs_fp);
             if db.is_current(ns::PLANS, &key, &inputs) {
-                if let Some(stored) = db.load_plan_validation(&spec.name, workload)? {
+                if let Some(stored) = db.get(&store::PLANS, &key)? {
                     db.note_hit(ns::PLANS);
                     out.push(stored);
                     continue;
@@ -94,7 +97,7 @@ pub fn validate_plans(
                     os: spec.name.clone(),
                     error,
                 })?;
-            db.save_plan_validation(&validation)?;
+            db.put(&store::PLANS, &validation)?;
             db.record_provenance(ns::PLANS, &key, inputs, BTreeMap::new());
             out.push(validation);
         }
@@ -155,7 +158,7 @@ mod tests {
                 v.to_table()
             );
             let stored = db
-                .load_plan_validation(&v.os, v.workload)
+                .get(&store::PLANS, &loupe_db::plan_key(&v.os, v.workload))
                 .unwrap()
                 .expect("persisted");
             assert_eq!(&stored, v);
@@ -165,7 +168,7 @@ mod tests {
         assert!(bare.initial.is_empty());
         assert_eq!(bare.steps.len(), 12);
         assert_eq!(
-            db.list_plan_validations().unwrap().len(),
+            db.keys(&store::PLANS).unwrap().len(),
             2,
             "one verdict per (os, workload)"
         );

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use loupe_apps::Workload;
 use loupe_core::AppReport;
-use loupe_db::{Database, DbError};
+use loupe_db::{store, Database, DbError};
 use loupe_gentests::{CaseExpectation, ConformanceSuite};
 use loupe_plan::{os, MatrixCell, OsSpec, PlanValidation, SupportPlan, Tier};
 use loupe_syscalls::SysnoSet;
@@ -80,12 +80,9 @@ fn orphaned_pages(rendered: &RenderedDocs, docs_dir: &Path) -> Vec<PathBuf> {
 ///
 /// Database I/O and corruption errors.
 pub fn reports_by_workload(db: &Database) -> Result<BTreeMap<Workload, Vec<AppReport>>, DbError> {
-    let mut grouped = BTreeMap::new();
-    for &workload in Workload::ALL {
-        let reports = db.load_workload(workload)?;
-        if !reports.is_empty() {
-            grouped.insert(workload, reports);
-        }
+    let mut grouped: BTreeMap<Workload, Vec<AppReport>> = BTreeMap::new();
+    for report in db.load_all(&store::BASELINES)? {
+        grouped.entry(report.workload).or_default().push(report);
     }
     Ok(grouped)
 }
@@ -101,14 +98,13 @@ pub fn reports_by_workload(db: &Database) -> Result<BTreeMap<Workload, Vec<AppRe
 /// static namespace (some apps analysed, others not).
 pub fn render(db: &Database) -> Result<RenderedDocs, DbError> {
     let grouped = reports_by_workload(db)?;
-    let mut validations = BTreeMap::new();
-    for (os_name, workload) in db.list_plan_validations()? {
-        if let Some(v) = db.load_plan_validation(&os_name, workload)? {
-            validations.insert((workload, os_name), v);
-        }
-    }
-    let has_statics = !db.list_static()?.is_empty();
-    let cells = db.load_matrix()?;
+    let validations = db
+        .load_all(&store::PLANS)?
+        .into_iter()
+        .map(|v| ((v.workload, v.os.clone()), v))
+        .collect();
+    let has_statics = !db.keys(&store::STATIC)?.is_empty();
+    let cells = db.load_all(&store::MATRIX)?;
     let mut files = vec![
         (
             PathBuf::from("COMPATIBILITY.md"),
@@ -122,7 +118,7 @@ pub fn render(db: &Database) -> Result<RenderedDocs, DbError> {
     if !cells.is_empty() {
         files.push((PathBuf::from("OS_MATRIX.md"), render_os_matrix(&cells)));
     }
-    let suites = db.load_suites()?;
+    let suites = db.load_all(&store::SUITES)?;
     if !suites.is_empty() {
         files.push((PathBuf::from("CONFORMANCE.md"), render_conformance(&suites)));
     }
@@ -1241,7 +1237,8 @@ mod tests {
     fn app_pages_cover_every_stored_app() {
         let (dir, db) = seeded_db("pages", 4);
         let rendered = render(&db).unwrap();
-        for (app, _) in db.list().unwrap() {
+        for report in db.load_all(&store::BASELINES).unwrap() {
+            let app = report.app;
             assert!(
                 rendered
                     .files

@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 
 use loupe_apps::{AppModel, ProgramGraph, Workload};
 use loupe_core::{fingerprint_of, AppReport};
-use loupe_db::{ns, Database, DbError};
+use loupe_db::{ns, store, Database, DbError};
 use loupe_plan::{importance_fractions, os, AppRequirement, SupportPlan};
 use loupe_static::{analyze_graph, api_importance, Level, StaticReport};
 use loupe_syscalls::{Sysno, SysnoSet};
@@ -45,7 +45,7 @@ pub struct StaticSweepSummary {
     /// The reports analysed fresh in this sweep, deterministically
     /// ordered by `(app, level)`. Cache hits are answered from the
     /// provenance manifest without re-reading (or re-parsing) the
-    /// stored artifact — load them with [`Database::load_static`] if
+    /// stored artifact — load them with [`Database::get`] if
     /// their content is needed.
     pub reports: Vec<StaticReport>,
 }
@@ -127,14 +127,14 @@ pub fn sweep_static_levels(
             db.note_hit(ns::STATIC);
             return JobOut::Cached;
         }
-        if !current && db.contains_static(level, app.name()) {
+        if !current && db.contains(&store::STATIC, &key) {
             db.note_stale(ns::STATIC);
         } else {
             db.note_miss(ns::STATIC);
         }
         let graph = graphs[app_idx].get_or_init(|| ProgramGraph::lower(apps[app_idx].as_ref()));
         let report = analyze_graph(graph, level);
-        match db.save_static(&report) {
+        match db.put(&store::STATIC, &report) {
             Ok(()) => {
                 db.record_provenance(ns::STATIC, &key, inputs, Default::default());
                 JobOut::Fresh(report)
@@ -322,12 +322,12 @@ impl PlanDelta {
 
     /// Waste of the source-level (L3) plan.
     pub fn source_waste(&self) -> usize {
-        self.waste(Level::Source)
+        self.waste(Level::L3)
     }
 
     /// Waste of the naive binary (L0) plan.
     pub fn binary_waste(&self) -> usize {
-        self.waste(Level::Binary)
+        self.waste(Level::L0)
     }
 }
 
@@ -418,11 +418,7 @@ fn median(sorted: &mut [f64]) -> f64 {
 /// with no static counterpart.
 pub fn compare(db: &Database) -> Result<Vec<Comparison>, CompareError> {
     let mut out = Vec::new();
-    for &workload in Workload::ALL {
-        let reports = db.load_workload(workload)?;
-        if reports.is_empty() {
-            continue;
-        }
+    for (workload, reports) in crate::report::reports_by_workload(db)? {
         out.push(compare_workload(db, workload, &reports)?);
     }
     if out.is_empty() {
@@ -446,7 +442,7 @@ fn compare_workload(
 
     for report in reports {
         let load = |level: Level| -> Result<StaticReport, CompareError> {
-            db.load_static(level, &report.app)?
+            db.get(&store::STATIC, &loupe_db::static_key(level, &report.app))?
                 .ok_or_else(|| CompareError::MissingStatic {
                     app: report.app.clone(),
                     level,
@@ -858,7 +854,7 @@ mod tests {
         let first = sweep_static(&db, apps(), 2, false).unwrap();
         assert_eq!(first.analyzed, 20, "5 apps x 4 levels");
         assert_eq!(first.cached, 0);
-        assert_eq!(db.list_static().unwrap().len(), 20);
+        assert_eq!(db.keys(&store::STATIC).unwrap().len(), 20);
 
         let second = sweep_static(&db, apps(), 2, false).unwrap();
         assert_eq!(second.analyzed, 0, "second sweep is pure cache hits");
@@ -869,7 +865,10 @@ mod tests {
         );
         // What the db stores is exactly what the first sweep analysed.
         for r in &first.reports {
-            let stored = db.load_static(r.level, &r.app).unwrap().unwrap();
+            let stored = db
+                .get(&store::STATIC, &loupe_db::static_key(r.level, &r.app))
+                .unwrap()
+                .unwrap();
             assert_eq!(&stored, r);
         }
 
@@ -890,7 +889,7 @@ mod tests {
         let partial = sweep_static_levels(&db, apps(), &[Level::L2], 1, false).unwrap();
         assert_eq!(partial.analyzed, 3);
         assert!(partial.reports.iter().all(|r| r.level == Level::L2));
-        assert_eq!(db.list_static().unwrap().len(), 3);
+        assert_eq!(db.keys(&store::STATIC).unwrap().len(), 3);
 
         // Filling in the rest reuses the L2 entries.
         let full = sweep_static(&db, apps(), 1, false).unwrap();

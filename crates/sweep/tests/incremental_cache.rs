@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 
 use loupe_apps::{registry, Workload};
 use loupe_core::Fingerprint;
-use loupe_db::{ns, Database};
+use loupe_db::{ns, store, Database};
 use loupe_plan::os;
 use loupe_sweep::{report, sweep_gentests, GentestsConfig, MatrixConfig, SweepConfig};
 use loupe_syscalls::{Sysno, SysnoSet};
@@ -211,8 +211,8 @@ fn rendered_docs_identical_across_workers_and_cache_state() {
             assert!(cold.is_clean(), "{:?}", cold.disagreements);
             assert_eq!(cold.cached, 0, "cold run starts empty");
             (
-                report::render_os_matrix(&db.load_matrix().unwrap()),
-                report::render_conformance(&db.load_suites().unwrap()),
+                report::render_os_matrix(&db.load_all(&store::MATRIX).unwrap()),
+                report::render_conformance(&db.load_all(&store::SUITES).unwrap()),
             )
         };
         // Warm run through a fresh handle: everything served from the
@@ -221,8 +221,8 @@ fn rendered_docs_identical_across_workers_and_cache_state() {
         let warm = sweep_gentests(&db, fleet(), &cfg(os::db(), workers)).unwrap();
         assert_eq!(warm.generated, 0, "warm run regenerates nothing");
         let warm_render = (
-            report::render_os_matrix(&db.load_matrix().unwrap()),
-            report::render_conformance(&db.load_suites().unwrap()),
+            report::render_os_matrix(&db.load_all(&store::MATRIX).unwrap()),
+            report::render_conformance(&db.load_all(&store::SUITES).unwrap()),
         );
         assert_eq!(cold_render, warm_render, "cold vs warm render drifted");
         renders.push(warm_render);

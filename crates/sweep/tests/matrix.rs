@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use loupe_apps::{registry, AppModel, Workload};
 use loupe_core::AnalysisConfig;
-use loupe_db::Database;
+use loupe_db::{store, Database};
 use loupe_plan::{os, MatrixCell, Tier, TierOutcome};
 use loupe_sweep::{matrix, report, sweep_matrix, MatrixConfig, SweepConfig};
 use proptest::prelude::*;
@@ -104,7 +104,7 @@ fn per_os_rates_are_tier_monotone_on_the_real_fleet() {
         "the plan tier must gain something somewhere: {stats:?}"
     );
     // And every stored cell honours its own invariants.
-    for cell in db.load_matrix().unwrap() {
+    for cell in db.load_all(&store::MATRIX).unwrap() {
         assert!(cell.invariants_hold(), "{}/{}", cell.os, cell.app);
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -203,7 +203,7 @@ fn poisoned_and_broken_models_fail_alone_not_the_matrix() {
         2 * 3,
         "matrix covers exactly the healthy apps"
     );
-    for cell in db.load_matrix().unwrap() {
+    for cell in db.load_all(&store::MATRIX).unwrap() {
         assert_ne!(cell.app, "panicking-app");
         assert_ne!(cell.app, "broken-on-linux");
     }

@@ -15,7 +15,7 @@ use loupe_apps::libc::LibcFlavor;
 use loupe_apps::program::{CallEdge, Function, NumberOperand, ProgramGraph, SyscallSite};
 use loupe_apps::Workload;
 use loupe_core::{AppReport, BaselineStats, FeatureClass, LINUX_ENV};
-use loupe_db::Database;
+use loupe_db::{store, Database};
 use loupe_plan::importance_fractions;
 use loupe_static::{analyze_graph, api_importance, verify_witness, Level, StaticReport};
 use loupe_syscalls::{Sysno, SysnoSet};
@@ -49,12 +49,15 @@ fn nested_sets(chunk: &[usize]) -> (SysnoSet, [SysnoSet; 4]) {
 /// produced by [`nested_sets`]).
 fn save_ladder(db: &Database, app: &str, fine_first: &[SysnoSet; 4]) {
     for (i, &level) in Level::ALL.iter().enumerate() {
-        db.save_static(&StaticReport {
-            app: app.to_owned(),
-            level,
-            syscalls: fine_first[3 - i].clone(),
-            witnesses: Vec::new(),
-        })
+        db.put(
+            &store::STATIC,
+            &StaticReport {
+                app: app.to_owned(),
+                level,
+                syscalls: fine_first[3 - i].clone(),
+                witnesses: Vec::new(),
+            },
+        )
         .unwrap();
     }
 }
@@ -117,7 +120,8 @@ proptest! {
         for (i, chunk) in chunks.iter().enumerate() {
             let (dynamic, ladder) = nested_sets(chunk);
             let app = format!("prop-app-{i}");
-            db.save(&synthetic_report(&app, &dynamic)).unwrap();
+            db.put(&store::BASELINES, &synthetic_report(&app, &dynamic))
+                .unwrap();
             save_ladder(&db, &app, &ladder);
         }
 
@@ -181,7 +185,8 @@ proptest! {
         let crippled: SysnoSet = dynamic.iter().skip(1).collect();
         let dir = tmpdir("violation", seed.iter().sum::<usize>() % 7919);
         let db = Database::open(&dir).unwrap();
-        db.save(&synthetic_report("broken", &dynamic)).unwrap();
+        db.put(&store::BASELINES, &synthetic_report("broken", &dynamic))
+            .unwrap();
         let broken = [crippled, ladder[1].clone(), ladder[2].clone(), ladder[3].clone()];
         save_ladder(&db, "broken", &broken);
 
@@ -206,7 +211,7 @@ proptest! {
             .enumerate()
             .map(|(i, s)| StaticReport {
                 app: format!("app-{i}"),
-                level: Level::Binary,
+                level: Level::L0,
                 syscalls: s.clone(),
                 witnesses: Vec::new(),
             })
@@ -360,11 +365,11 @@ proptest! {
 #[test]
 fn real_fleet_respects_containment_on_health_checks() {
     use loupe_core::{AnalysisConfig, Engine};
-    use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
+    use loupe_static::{GraphAnalyzer, StaticAnalyzer};
 
     let engine = Engine::new(AnalysisConfig::fast());
-    let bin = BinaryAnalyzer::new();
-    let src = SourceAnalyzer::new();
+    let bin = GraphAnalyzer::new(Level::L0);
+    let src = GraphAnalyzer::new(Level::L3);
     for app in loupe_apps::registry::dataset() {
         let b = bin.analyze(app.as_ref());
         let s = src.analyze(app.as_ref());

@@ -8,8 +8,8 @@
 
 use loupe::apps::{registry, Workload};
 use loupe::core::{AnalysisConfig, Engine};
-use loupe::db::Database;
-use loupe::plan::{os, SupportPlan};
+use loupe::db::{baseline_key, store, Database};
+use loupe::plan::{os, AppRequirement, SupportPlan};
 
 fn main() {
     let dir = std::env::temp_dir().join("loupedb-example");
@@ -23,7 +23,7 @@ fn main() {
         let report = engine
             .analyze(app.as_ref(), Workload::Benchmark)
             .expect("baseline passes");
-        db.save(&report).expect("store");
+        db.put(&store::BASELINES, &report).expect("store");
         println!(
             "uploaded {name}: {} traced, {} required",
             report.traced().len(),
@@ -34,8 +34,14 @@ fn main() {
     // Contributor B re-measures one app (results merge conservatively).
     let app = registry::find("weborf").unwrap();
     let again = engine.analyze(app.as_ref(), Workload::Benchmark).unwrap();
-    db.save(&again).expect("merge");
-    let merged = db.load("weborf", Workload::Benchmark).unwrap().unwrap();
+    db.put(&store::BASELINES, &again).expect("merge");
+    let merged = db
+        .get(
+            &store::BASELINES,
+            &baseline_key("weborf", Workload::Benchmark),
+        )
+        .unwrap()
+        .unwrap();
     println!(
         "weborf after second upload: counts doubled to {} total invocations",
         merged.traced.values().sum::<u64>()
@@ -43,7 +49,12 @@ fn main() {
 
     // An OS developer pulls requirements straight from the database —
     // no re-measurement cost — and plans their next steps.
-    let reqs = db.requirements(Workload::Benchmark).expect("load all");
+    let reqs: Vec<AppRequirement> = db
+        .load_all(&store::BASELINES)
+        .expect("load all")
+        .iter()
+        .map(AppRequirement::from_report)
+        .collect();
     let kerla = os::find("kerla").unwrap();
     let plan = SupportPlan::generate(&kerla, &reqs);
     println!(

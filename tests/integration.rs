@@ -3,10 +3,10 @@
 
 use loupe::apps::{registry, Workload};
 use loupe::core::{Action, AnalysisConfig, Engine, Interposed, Policy};
-use loupe::db::Database;
+use loupe::db::{store, Database};
 use loupe::kernel::{Kernel, LinuxSim};
 use loupe::plan::{os, AppRequirement, SupportPlan};
-use loupe::statics::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
+use loupe::statics::{GraphAnalyzer, Level, StaticAnalyzer};
 use loupe::syscalls::Sysno;
 
 fn fast_engine() -> Engine {
@@ -41,8 +41,8 @@ fn analysis_hierarchy_holds_for_every_detailed_app() {
     // binary view — dynamic results must be consistent with the static
     // ones for the measurement comparison to make sense.
     let engine = fast_engine();
-    let src = SourceAnalyzer::new();
-    let bin = BinaryAnalyzer::new();
+    let src = GraphAnalyzer::new(Level::L3);
+    let bin = GraphAnalyzer::new(Level::L0);
     for app in registry::detailed() {
         let report = engine.analyze(app.as_ref(), Workload::TestSuite).unwrap();
         let traced = report.traced();
@@ -154,10 +154,15 @@ fn full_pipeline_measure_store_plan() {
     for name in ["weborf", "webfsd", "sqlite"] {
         let app = registry::find(name).unwrap();
         let report = engine.analyze(app.as_ref(), Workload::HealthCheck).unwrap();
-        db.save(&report).unwrap();
+        db.put(&store::BASELINES, &report).unwrap();
     }
 
-    let reqs = db.requirements(Workload::HealthCheck).unwrap();
+    let reqs: Vec<AppRequirement> = db
+        .load_all(&store::BASELINES)
+        .unwrap()
+        .iter()
+        .map(AppRequirement::from_report)
+        .collect();
     assert_eq!(reqs.len(), 3);
 
     let kerla = os::find("kerla").unwrap();

@@ -174,12 +174,15 @@ fn static_analysis_overestimates_by_the_papers_factors() {
     // §1: "only as few as 20% of system calls reported by static analysis,
     // and 50% of those reported by naive dynamic analysis need an
     // implementation".
-    use loupe::statics::{BinaryAnalyzer, StaticAnalyzer};
+    use loupe::statics::{GraphAnalyzer, Level, StaticAnalyzer};
     let engine = Engine::new(AnalysisConfig::fast());
     for name in ["redis", "nginx", "memcached"] {
         let app = registry::find(name).unwrap();
         let report = engine.analyze(app.as_ref(), Workload::Benchmark).unwrap();
-        let binary = BinaryAnalyzer::new().analyze(app.as_ref()).syscalls.len();
+        let binary = GraphAnalyzer::new(Level::L0)
+            .analyze(app.as_ref())
+            .syscalls
+            .len();
         let traced = report.traced().len();
         let required = report.required().len();
         assert!(

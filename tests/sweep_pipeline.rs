@@ -4,7 +4,7 @@
 //! workflow behind the checked-in `docs/COMPATIBILITY.md`.
 
 use loupe::apps::{registry, Workload};
-use loupe::db::Database;
+use loupe::db::{store, Database};
 use loupe::sweep::{report, FleetStats, Sweep, SweepConfig};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -32,8 +32,11 @@ fn full_fleet_sweep_persists_and_renders() {
     assert!(summary.failures.is_empty(), "{:?}", summary.failures);
 
     // Every report is persisted and loadable.
-    assert_eq!(db.list().unwrap().len(), summary.reports.len());
-    let stored = db.load_workload(Workload::HealthCheck).unwrap();
+    assert_eq!(
+        db.keys(&store::BASELINES).unwrap().len(),
+        summary.reports.len()
+    );
+    let stored = db.load_all(&store::BASELINES).unwrap();
     assert_eq!(stored, summary.reports);
 
     // Aggregation reproduces the paper's headline shape: a compact
@@ -116,8 +119,8 @@ fn sharded_sweeps_compose_into_the_same_database_state() {
     health_sweep().run(&db_whole, apps).unwrap();
 
     assert_eq!(
-        db_sharded.load_workload(Workload::HealthCheck).unwrap(),
-        db_whole.load_workload(Workload::HealthCheck).unwrap()
+        db_sharded.load_all(&store::BASELINES).unwrap(),
+        db_whole.load_all(&store::BASELINES).unwrap()
     );
     std::fs::remove_dir_all(&dir_sharded).ok();
     std::fs::remove_dir_all(&dir_whole).ok();
