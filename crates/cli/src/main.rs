@@ -26,8 +26,8 @@
 use std::process::ExitCode;
 
 use loupe_apps::{registry, Workload};
-use loupe_core::{AnalysisConfig, Engine};
-use loupe_db::{store, Database};
+use loupe_core::{AnalysisConfig, AppReport, Engine};
+use loupe_db::{store, CacheStats, Database, Derive};
 use loupe_plan::{api_importance, os, AppRequirement, CompatTable, SupportPlan};
 use loupe_sweep::{report, Sweep, SweepConfig, TransferConfig};
 
@@ -224,6 +224,27 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Prints a stage's cache decisions (if it took any) and persists them
+/// as the db's last-sweep counters.
+fn persist_cache_stats(db: &Database, cache: &CacheStats, db_dir: &str) -> Result<(), String> {
+    if !cache.is_empty() {
+        let t = cache.total();
+        let details = format!("details: `loupe cache stats --db {db_dir}`");
+        println!(
+            "cache: {} hits, {} misses, {} stale ({details})",
+            t.hits, t.misses, t.stale
+        );
+    }
+    db.persist_sweep_stats().map_err(|e| e.to_string())
+}
+
+/// The numeric value of flag `name`, or `default` when it is absent.
+fn usize_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    flag_value(args, name).map_or(Ok(default), |v| {
+        v.parse().map_err(|_| format!("bad {name}"))
+    })
+}
+
 fn parse_workload(args: &[String], default: Workload) -> Result<Workload, String> {
     match flag_value(args, "--workload") {
         None => Ok(default),
@@ -265,10 +286,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(1);
     let sub = args.iter().any(|a| a == "--sub-features");
-    let jobs = flag_value(args, "--jobs")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --jobs".to_owned()))
-        .transpose()?
-        .unwrap_or(1);
+    let jobs = usize_flag(args, "--jobs", 1)?;
     let cfg = AnalysisConfig {
         replicas,
         jobs,
@@ -324,22 +342,35 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
     if let Some(dir) = flag_value(args, "--db") {
         let db = Database::open(dir).map_err(|e| e.to_string())?;
-        db.put(store::reports(&report.env), &report)
-            .map_err(|e| e.to_string())?;
-        // Record what the measurement depended on, so a later `loupe
-        // sweep` over an unchanged app serves this report from cache.
-        if report.is_linux_baseline() {
-            db.record_provenance(
-                loupe_db::ns::BASELINES,
-                &loupe_db::baseline_key(&report.app, report.workload),
-                loupe_sweep::baseline_inputs(app.as_ref(), workload, &cfg),
-                Default::default(),
-            );
-        }
+        store_report(&db, &report, app.as_ref(), &cfg)?;
         db.flush().map_err(|e| e.to_string())?;
         eprintln!("stored in {dir}");
     }
     Ok(())
+}
+
+/// Stores a report measured outside a sweep. A Linux baseline is
+/// committed with the provenance a sweep records, so a later `loupe
+/// sweep` over an unchanged app serves it from cache.
+fn store_report(
+    db: &Database,
+    report: &AppReport,
+    app: &dyn loupe_apps::AppModel,
+    analysis: &AnalysisConfig,
+) -> Result<(), String> {
+    let inputs = loupe_sweep::baseline_inputs(app, report.workload, analysis);
+    let stored = if report.is_linux_baseline() {
+        db.commit(
+            &store::BASELINES,
+            report,
+            Derive::Miss,
+            inputs,
+            Default::default(),
+        )
+    } else {
+        db.put(&store::ENV, report)
+    };
+    stored.map_err(|e| e.to_string())
 }
 
 const DEFAULT_DB: &str = "target/loupedb";
@@ -380,14 +411,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
     let workloads = parse_workloads(args)?;
-    let workers = flag_value(args, "--workers")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --workers".to_owned()))
-        .transpose()?
-        .unwrap_or(0);
-    let jobs = flag_value(args, "--jobs")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --jobs".to_owned()))
-        .transpose()?
-        .unwrap_or(1);
+    let workers = usize_flag(args, "--workers", 0)?;
+    let jobs = usize_flag(args, "--jobs", 1)?;
     let force = args.iter().any(|a| a == "--force");
     let transfer = if args.iter().any(|a| a == "--transfer") {
         let mut t = TransferConfig::default();
@@ -507,14 +532,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if !summary.cache.is_empty() {
-        let t = summary.cache.total();
-        println!(
-            "cache: {} hits, {} misses, {} stale (details: `loupe cache stats --db {db_dir}`)",
-            t.hits, t.misses, t.stale
-        );
-    }
-    db.persist_sweep_stats().map_err(|e| e.to_string())?;
+    persist_cache_stats(&db, &summary.cache, db_dir)?;
     for f in &summary.failures {
         eprintln!("  failed: {} ({}): {}", f.app, f.workload, f.error);
     }
@@ -572,10 +590,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
-    let workers = flag_value(args, "--workers")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --workers".to_owned()))
-        .transpose()?
-        .unwrap_or(0);
+    let workers = usize_flag(args, "--workers", 0)?;
 
     // Make sure every dynamically measured app has its static
     // counterparts (pure cache hits when `sweep --static` already ran).
@@ -680,10 +695,7 @@ fn cmd_statics(args: &[String]) -> Result<(), String> {
 
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
-    let workers = flag_value(args, "--workers")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --workers".to_owned()))
-        .transpose()?
-        .unwrap_or(0);
+    let workers = usize_flag(args, "--workers", 0)?;
     let force = args.iter().any(|a| a == "--force");
     let levels: Vec<loupe_static::Level> = match flag_value(args, "--level") {
         None => loupe_static::Level::ALL.to_vec(),
@@ -807,14 +819,8 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
         return Err("gentests: need --os <name> or --all-os".into());
     };
     let workloads = parse_workloads(args)?;
-    let workers = flag_value(args, "--workers")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --workers".to_owned()))
-        .transpose()?
-        .unwrap_or(0);
-    let jobs = flag_value(args, "--jobs")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --jobs".to_owned()))
-        .transpose()?
-        .unwrap_or(1);
+    let workers = usize_flag(args, "--workers", 0)?;
+    let jobs = usize_flag(args, "--jobs", 1)?;
     let check = args.iter().any(|a| a == "--check");
     let apps: Vec<_> = match flag_value(args, "--app") {
         Some(name) => {
@@ -854,14 +860,7 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
         summary.stats.len(),
         db_dir
     );
-    if !summary.base.cache.is_empty() {
-        let t = summary.base.cache.total();
-        println!(
-            "cache: {} hits, {} misses, {} stale (details: `loupe cache stats --db {db_dir}`)",
-            t.hits, t.misses, t.stale
-        );
-    }
-    db.persist_sweep_stats().map_err(|e| e.to_string())?;
+    persist_cache_stats(&db, &summary.base.cache, db_dir)?;
     for row in &summary.stats {
         println!(
             "  {:<12} {:<7} {:>3} suites, {:>5} cases; out-of-the-box {:>3}/{}, with plan {:>3}/{}",
@@ -1054,16 +1053,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
                     .analyze(app.as_ref(), workload)
                     .map_err(|e| e.to_string())?;
                 if let Some(db) = &db {
-                    db.put(store::reports(&r.env), &r)
-                        .map_err(|e| e.to_string())?;
-                    if r.is_linux_baseline() {
-                        db.record_provenance(
-                            loupe_db::ns::BASELINES,
-                            &loupe_db::baseline_key(&r.app, r.workload),
-                            loupe_sweep::baseline_inputs(app.as_ref(), workload, &analysis),
-                            Default::default(),
-                        );
-                    }
+                    store_report(db, &r, app.as_ref(), &analysis)?;
                 }
                 r
             }
@@ -1080,17 +1070,14 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         print!("{}", validation.to_table());
         if let Some(db) = &db {
-            db.put(&store::PLANS, &validation)
-                .map_err(|e| e.to_string())?;
-            let mut inputs = std::collections::BTreeMap::new();
-            inputs.insert("os".to_owned(), loupe_core::fingerprint_of(&spec));
-            inputs.insert("requirements".to_owned(), loupe_core::fingerprint_of(&reqs));
-            db.record_provenance(
-                loupe_db::ns::PLANS,
-                &loupe_db::plan_key(&spec.name, workload),
-                inputs,
+            db.commit(
+                &store::PLANS,
+                &validation,
+                Derive::Miss,
+                loupe_sweep::plan_inputs(&spec, loupe_core::fingerprint_of(&reqs)),
                 Default::default(),
-            );
+            )
+            .map_err(|e| e.to_string())?;
             db.flush().map_err(|e| e.to_string())?;
             eprintln!("validation stored");
         }
@@ -1111,10 +1098,7 @@ const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7071";
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_SERVE_ADDR);
-    let threads = flag_value(args, "--threads")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --threads".to_owned()))
-        .transpose()?
-        .unwrap_or(1024);
+    let threads = usize_flag(args, "--threads", 1024)?;
     let batch_us = flag_value(args, "--batch-window-us")
         .map(|v| {
             v.parse::<u64>()
@@ -1389,10 +1373,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
 
 fn cmd_importance(args: &[String]) -> Result<(), String> {
     let workload = parse_workload(args, Workload::HealthCheck)?;
-    let n = flag_value(args, "--apps")
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --apps".to_owned()))
-        .transpose()?
-        .unwrap_or(116);
+    let n = usize_flag(args, "--apps", 116)?;
     let engine = Engine::new(AnalysisConfig::fast());
     let mut required_sets = Vec::new();
     for app in registry::dataset().into_iter().take(n) {

@@ -74,6 +74,25 @@ pub trait Artifact: Clone + serde::Serialize + serde::Deserialize {}
 
 impl<T: Clone + serde::Serialize + serde::Deserialize> Artifact for T {}
 
+/// The cache gate's decision for one artifact ([`Database::classify`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision<H> {
+    /// The stored artifact answers the job; `H` is what the stage read
+    /// out of its record's meta.
+    Hit(H),
+    /// The artifact must be derived afresh.
+    Derive(Derive),
+}
+
+/// Why an artifact is derived afresh: how [`Database::commit`] stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Derive {
+    /// Nothing usable stored (or forced): compose with what is stored.
+    Miss,
+    /// Stored, but from other inputs: replace it.
+    Stale,
+}
+
 /// A directory-backed measurement database.
 ///
 /// Cloning is cheap and clones share one in-process state (manifest,
@@ -104,6 +123,9 @@ impl fmt::Debug for Database {
             .finish()
     }
 }
+
+/// The input fingerprints and meta a committed artifact is recorded with.
+type Provenance = (BTreeMap<String, Fingerprint>, BTreeMap<String, String>);
 
 /// In-memory snapshot cache of one namespace, keyed by the manifest
 /// generation it reflects.
@@ -225,29 +247,39 @@ impl Shared {
         })
     }
 
-    /// Updates the record for a just-written artifact. If the stored
-    /// output fingerprint is unchanged, the record (including its
-    /// provenance) is kept — content-addressed identity. Otherwise the
-    /// record's inputs become unknown until a sweep stage re-attaches
-    /// them via [`Database::record_provenance`].
-    fn record_artifact<T: serde::Serialize>(&self, namespace: &str, key: &str, artifact: &T) {
+    /// Updates the record for a just-written artifact. A committed one
+    /// gets the `provenance` it was derived from. Otherwise, if the
+    /// stored output fingerprint is unchanged, the record (including its
+    /// provenance) is kept — content-addressed identity — and if not,
+    /// its inputs become unknown until a stage commits it.
+    fn record_artifact<T: serde::Serialize>(
+        &self,
+        namespace: &str,
+        key: &str,
+        artifact: &T,
+        provenance: Option<Provenance>,
+    ) {
         let output = fingerprint_of(artifact);
         self.with_manifest(|s| {
             let records = s.manifest.records.entry(namespace.to_owned()).or_default();
-            if let Some(rec) = records.get(key) {
-                if rec.output == output {
-                    return;
-                }
+            let kept = records.get(key).filter(|rec| rec.output == output);
+            let (inputs, meta) = match provenance {
+                Some((inputs, meta)) => (Some(inputs), meta),
+                None if kept.is_some() => return,
+                None => (None, BTreeMap::new()),
+            };
+            let record = ArtifactRecord {
+                inputs,
+                output,
+                meta,
+            };
+            if kept == Some(&record) {
+                return;
             }
-            records.insert(
-                key.to_owned(),
-                ArtifactRecord {
-                    inputs: None,
-                    output,
-                    meta: BTreeMap::new(),
-                },
-            );
-            *s.generations.entry(namespace.to_owned()).or_insert(0) += 1;
+            if kept.is_none() {
+                *s.generations.entry(namespace.to_owned()).or_insert(0) += 1;
+            }
+            records.insert(key.to_owned(), record);
             s.dirty = true;
         });
     }
@@ -476,27 +508,29 @@ impl Database {
     /// I/O and serialisation failures.
     pub fn put<T: Artifact>(&self, ns: &Namespace<T>, value: &T) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
-        self.put_locked(ns, value, true)
+        self.save_locked(ns, value, true, None)
     }
 
     /// Stores `value` in `ns`, *replacing* any stored artifact instead
-    /// of merging — the path a sweep stage takes when the stored
-    /// artifact's recorded inputs no longer match (merging content
-    /// produced by outdated inputs would poison the fresh one).
+    /// of merging (how [`commit`](Self::commit) stores a stale one).
     ///
     /// # Errors
     ///
     /// I/O and serialisation failures.
     pub fn put_replacing<T: Artifact>(&self, ns: &Namespace<T>, value: &T) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
-        self.put_locked(ns, value, false)
+        self.save_locked(ns, value, false, None)
     }
 
-    fn put_locked<T: Artifact>(
+    /// The one write path, under the writer lock: `value`, composed with
+    /// the stored artifact when `merge` is set and the namespace merges,
+    /// then its record.
+    fn save_locked<T: Artifact>(
         &self,
         ns: &Namespace<T>,
         value: &T,
         merge: bool,
+        provenance: Option<Provenance>,
     ) -> Result<(), DbError> {
         debug_assert!(
             (ns.accept)(value),
@@ -511,7 +545,8 @@ impl Database {
         let merged = stored.map_or(Cow::Borrowed(value), Cow::Owned);
         let path = self.shared.root.join(ns.layout.path(&key));
         write_atomic(&path, to_json(&path, &*merged)?.as_bytes())?;
-        self.shared.record_artifact(ns.layout.name, &key, &*merged);
+        self.shared
+            .record_artifact(ns.layout.name, &key, &*merged, provenance);
         Ok(())
     }
 
@@ -647,11 +682,10 @@ impl Database {
             None => {
                 let map = rebuild()?;
                 let state = self.shared.namespace_state(namespace);
-                let encoded: Vec<(&String, serde::Value)> =
-                    map.iter().map(|(k, v)| (k, v.to_value())).collect();
+                let encoded = map.iter().map(|(k, v)| (k.as_str(), v.to_value()));
                 // Best-effort: a failed snapshot write only costs the
                 // next rebuild.
-                let _ = snapshot::write(&path, state, encoded.iter().map(|(k, v)| (k.as_str(), v)));
+                let _ = snapshot::write(&path, state, encoded);
                 map
             }
         };
@@ -659,21 +693,6 @@ impl Database {
         let map = Arc::new(map);
         *guard = SlotState::Decoded(generation, Arc::clone(&map));
         Ok(map)
-    }
-
-    /// Warms every namespace snapshot (building binary indices as
-    /// needed) so subsequent point and bulk reads are served from
-    /// memory. Sweeps call this once up front.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn preload(&self) -> Result<(), DbError> {
-        self.bulk(&store::BASELINES)?;
-        self.bulk(&store::MATRIX)?;
-        self.bulk(&store::SUITES)?;
-        self.bulk(&store::STATIC)?;
-        Ok(())
     }
 
     /// Writes an OS support spec in CSV form under `<root>/os/<name>.csv`.
@@ -716,92 +735,84 @@ impl Database {
             .join(format!("{name}.csv"))
     }
 
-    // ----- cache manifest: provenance, currency, invalidation -----
+    // ----- cache manifest: the gate, provenance, invalidation -----
 
-    /// Whether the artifact at `(namespace, key)` is *current*: it has
-    /// recorded provenance and every recorded input fingerprint equals
-    /// the freshly computed one. Artifacts without provenance (raw
-    /// saves, pre-manifest databases) are never current.
-    pub fn is_current(
+    /// The cache gate: decides from the manifest alone, reading no stored
+    /// artifact, whether what `ns` holds under `key` answers a job whose
+    /// inputs fingerprint to `inputs`, and counts the decision in this
+    /// session's [`CacheStats`]:
+    ///
+    /// * **hit** — the record is current (its recorded inputs equal
+    ///   `inputs`), `force` is off, and `accept` takes its meta (the hit
+    ///   carries what `accept` read);
+    /// * **stale** — not current, but a record or a stored file exists;
+    /// * **miss** — anything else.
+    ///
+    /// Records without provenance (raw puts, out-of-band edits found by
+    /// a bulk rebuild, `cache invalidate`) are never current.
+    pub fn classify<T, H>(
         &self,
-        namespace: &str,
+        ns: &Namespace<T>,
         key: &str,
         inputs: &BTreeMap<String, Fingerprint>,
-    ) -> bool {
-        self.shared.with_manifest(|s| {
-            s.manifest
-                .records
-                .get(namespace)
-                .and_then(|records| records.get(key))
-                .and_then(|rec| rec.inputs.as_ref())
-                .is_some_and(|recorded| recorded == inputs)
-        })
+        force: bool,
+        accept: impl FnOnce(&BTreeMap<String, String>) -> Option<H>,
+    ) -> Decision<H> {
+        let namespace = ns.layout.name;
+        let recorded = self.shared.with_manifest(|s| {
+            let rec = s.manifest.records.get(namespace)?.get(key)?;
+            Some(if rec.inputs.as_ref() != Some(inputs) {
+                Decision::Derive(Derive::Stale)
+            } else if force {
+                Decision::Derive(Derive::Miss)
+            } else {
+                accept(&rec.meta).map_or(Decision::Derive(Derive::Miss), Decision::Hit)
+            })
+        });
+        let decision = recorded.unwrap_or_else(|| {
+            Decision::Derive(if self.contains(ns, key) {
+                Derive::Stale
+            } else {
+                Derive::Miss
+            })
+        });
+        let mut stats = self.shared.stats.lock().expect("stats lock");
+        match decision {
+            Decision::Hit(_) => stats.hit(namespace),
+            Decision::Derive(Derive::Miss) => stats.miss(namespace),
+            Decision::Derive(Derive::Stale) => stats.stale(namespace),
+        }
+        decision
     }
 
-    /// Attaches provenance (and optional metadata) to an existing
-    /// artifact record — called by sweep stages right after a save, once
-    /// they know which inputs produced the artifact. A no-op if no
-    /// record exists.
-    pub fn record_provenance(
+    /// Stores a freshly derived artifact and attaches the provenance
+    /// that produced it: `inputs`, plus `meta` for later
+    /// [`classify`](Self::classify) calls to accept. After a
+    /// [`Derive::Miss`] the value composes with whatever is stored (as
+    /// [`put`](Self::put)); after a [`Derive::Stale`] it replaces it
+    /// (as [`put_replacing`](Self::put_replacing)), since content
+    /// derived from outdated inputs would poison the fresh one.
+    ///
+    /// # Errors
+    ///
+    /// I/O and serialisation failures.
+    pub fn commit<T: Artifact>(
         &self,
-        namespace: &str,
-        key: &str,
+        ns: &Namespace<T>,
+        value: &T,
+        why: Derive,
         inputs: BTreeMap<String, Fingerprint>,
         meta: BTreeMap<String, String>,
-    ) {
-        self.shared.with_manifest(|s| {
-            let Some(rec) = s
-                .manifest
-                .records
-                .get_mut(namespace)
-                .and_then(|records| records.get_mut(key))
-            else {
-                return;
-            };
-            if rec.inputs.as_ref() == Some(&inputs) && rec.meta == meta {
-                return;
-            }
-            rec.inputs = Some(inputs);
-            rec.meta = meta;
-            s.dirty = true;
-        });
+    ) -> Result<(), DbError> {
+        let _writer = self.shared.lock_writers()?;
+        self.save_locked(ns, value, why == Derive::Miss, Some((inputs, meta)))
     }
 
-    /// The recorded output fingerprint of `(namespace, key)`, if any.
-    pub fn recorded_output(&self, namespace: &str, key: &str) -> Option<Fingerprint> {
-        self.shared.with_manifest(|s| {
-            s.manifest
-                .records
-                .get(namespace)
-                .and_then(|records| records.get(key))
-                .map(|rec| rec.output)
-        })
-    }
-
-    /// The recorded input fingerprints of `(namespace, key)`, if any.
-    pub fn recorded_inputs(
-        &self,
-        namespace: &str,
-        key: &str,
-    ) -> Option<BTreeMap<String, Fingerprint>> {
-        self.shared.with_manifest(|s| {
-            s.manifest
-                .records
-                .get(namespace)
-                .and_then(|records| records.get(key))
-                .and_then(|rec| rec.inputs.clone())
-        })
-    }
-
-    /// The recorded metadata of `(namespace, key)`, if a record exists.
-    pub fn recorded_meta(&self, namespace: &str, key: &str) -> Option<BTreeMap<String, String>> {
-        self.shared.with_manifest(|s| {
-            s.manifest
-                .records
-                .get(namespace)
-                .and_then(|records| records.get(key))
-                .map(|rec| rec.meta.clone())
-        })
+    /// The manifest record of `key` in the namespace named `namespace`
+    /// (see [`ns`]), if any — read-only.
+    pub fn record(&self, namespace: &str, key: &str) -> Option<ArtifactRecord> {
+        self.shared
+            .with_manifest(|s| s.manifest.records.get(namespace)?.get(key).cloned())
     }
 
     /// Force-invalidates provenance: every record whose key matches the
@@ -851,30 +862,6 @@ impl Database {
                 })
                 .collect()
         })
-    }
-
-    /// Records a cache hit for this session's counters.
-    pub fn note_hit(&self, namespace: &str) {
-        self.shared.stats.lock().expect("stats lock").hit(namespace);
-    }
-
-    /// Records a cache miss (nothing stored) for this session.
-    pub fn note_miss(&self, namespace: &str) {
-        self.shared
-            .stats
-            .lock()
-            .expect("stats lock")
-            .miss(namespace);
-    }
-
-    /// Records a stale recomputation (stored but outdated) for this
-    /// session.
-    pub fn note_stale(&self, namespace: &str) {
-        self.shared
-            .stats
-            .lock()
-            .expect("stats lock")
-            .stale(namespace);
     }
 
     /// This session's accumulated cache counters.
@@ -1117,6 +1104,13 @@ mod tests {
     fn baseline(db: &Database, app: &str, workload: Workload) -> Option<AppReport> {
         db.get(&store::BASELINES, &baseline_key(app, workload))
             .unwrap()
+    }
+
+    impl Database {
+        /// The recorded output fingerprint of `(namespace, key)`, if any.
+        fn recorded_output(&self, namespace: &str, key: &str) -> Option<Fingerprint> {
+            self.record(namespace, key).map(|rec| rec.output)
+        }
     }
 
     fn cell(os: &str, app: &str, workload: Workload) -> MatrixCell {
@@ -1591,54 +1585,75 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let report = sample_report();
         let key = baseline_key(&report.app, report.workload);
-        let mut inputs = BTreeMap::new();
-        inputs.insert("app".to_owned(), fingerprint_of(&report.app));
+        let inputs: BTreeMap<_, _> = [("app".to_owned(), fingerprint_of(&report.app))].into();
+        let gate = |db: &Database, inputs: &BTreeMap<String, Fingerprint>, force: bool| {
+            let note = |meta: &BTreeMap<String, String>| Some(meta.get("note").cloned());
+            db.classify(&store::BASELINES, &key, inputs, force, note)
+        };
+        let (miss, stale) = (
+            Decision::Derive(Derive::Miss),
+            Decision::Derive(Derive::Stale),
+        );
 
-        // Before any save: no record, nothing current.
-        assert!(db.recorded_output(ns::BASELINES, &key).is_none());
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
+        // Nothing stored: a miss.
+        assert!(db.record(ns::BASELINES, &key).is_none());
+        assert_eq!(gate(&db, &inputs, false), miss);
 
-        // A raw save records the output but no provenance — the artifact
-        // exists, yet is not current until a stage attaches inputs.
+        // A raw save records the output but no provenance: the artifact
+        // is stale until a stage commits it.
         db.put(&store::BASELINES, &report).unwrap();
-        let output = db.recorded_output(ns::BASELINES, &key).unwrap();
-        assert_eq!(output, fingerprint_of(&report));
-        assert!(db.recorded_inputs(ns::BASELINES, &key).is_none());
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
+        let rec = db.record(ns::BASELINES, &key).unwrap();
+        assert_eq!((rec.output, rec.inputs), (fingerprint_of(&report), None));
+        assert_eq!(gate(&db, &inputs, false), stale);
 
-        db.record_provenance(
-            ns::BASELINES,
-            &key,
+        // A stale commit replaces (no merge) and attaches inputs + meta.
+        let note = [("note".to_owned(), "x".to_owned())].into();
+        db.commit(
+            &store::BASELINES,
+            &report,
+            Derive::Stale,
             inputs.clone(),
-            [("note".to_owned(), "x".to_owned())].into(),
-        );
-        assert!(db.is_current(ns::BASELINES, &key, &inputs));
-        assert_eq!(
-            db.recorded_inputs(ns::BASELINES, &key),
-            Some(inputs.clone())
-        );
-        assert_eq!(db.recorded_meta(ns::BASELINES, &key).unwrap()["note"], "x");
-        // Different inputs → not current.
-        let mut other = inputs.clone();
-        other.insert("extra".to_owned(), fingerprint_of(&1u64));
-        assert!(!db.is_current(ns::BASELINES, &key, &other));
+            note,
+        )
+        .unwrap();
+        assert_eq!(db.record(ns::BASELINES, &key).unwrap().output, rec.output);
+        assert_eq!(gate(&db, &inputs, false), Decision::Hit(Some("x".into())));
+        // Forced, or a meta the stage does not accept: a miss.
+        assert_eq!(gate(&db, &inputs, true), miss);
+        let reject = db.classify(&store::BASELINES, &key, &inputs, false, |_| None::<()>);
+        assert_eq!(reject, Decision::Derive(Derive::Miss));
+        // Other inputs: stale.
+        let other = [("app".to_owned(), fingerprint_of(&1u64))].into();
+        assert_eq!(gate(&db, &other, false), stale);
 
-        // A subsequent save changes the content (merge doubles counts),
-        // so the provenance is wiped until re-attached.
+        // A raw save that changes the content (merge doubles counts)
+        // wipes the provenance.
         db.put(&store::BASELINES, &report).unwrap();
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
-        assert_ne!(db.recorded_output(ns::BASELINES, &key), Some(output));
+        assert_eq!(gate(&db, &inputs, false), stale);
 
-        // Provenance survives a flush + reopen (manifest.json).
-        db.record_provenance(ns::BASELINES, &key, inputs.clone(), BTreeMap::new());
+        // A miss commit composes with the stored entry, and its
+        // provenance survives a flush + reopen (manifest.json).
+        let stored = baseline(&db, &report.app, report.workload).unwrap();
+        db.commit(
+            &store::BASELINES,
+            &report,
+            Derive::Miss,
+            inputs.clone(),
+            BTreeMap::new(),
+        )
+        .unwrap();
+        let merged = baseline(&db, &report.app, report.workload);
+        assert_eq!(merged, Some(merge_reports(&stored, &report)));
         drop(db);
         let db = Database::open(&dir).unwrap();
-        assert!(db.is_current(ns::BASELINES, &key, &inputs));
+        assert_eq!(gate(&db, &inputs, false), Decision::Hit(None));
+        let counted = db.session_cache_stats().namespaces[ns::BASELINES];
+        assert_eq!((counted.hits, counted.misses, counted.stale), (1, 0, 0));
 
         // Force-invalidation strips provenance without touching files.
         let counts = db.invalidate_matching(None, Some(&report.app));
         assert!(counts.contains(&(ns::BASELINES.to_owned(), 1)));
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
+        assert_eq!(gate(&db, &inputs, false), stale);
         assert!(baseline(&db, &report.app, report.workload).is_some());
         fs::remove_dir_all(&dir).ok();
     }
@@ -1785,12 +1800,9 @@ mod tests {
         // deleting the index — forces a rebuild that sees the new truth
         // and clears the edited cell's provenance.
         let db = Database::open(&dir).unwrap();
-        db.record_provenance(
-            ns::MATRIX,
-            &matrix_key("kerla", "beta", Workload::Benchmark),
-            BTreeMap::new(),
-            BTreeMap::new(),
-        );
+        let (inputs, meta) = Default::default();
+        db.commit(&store::MATRIX, &cells[1], Derive::Stale, inputs, meta)
+            .unwrap();
         drop(db);
         let path = dir
             .join("env")
@@ -1807,10 +1819,12 @@ mod tests {
         let reloaded = db.load_all(&store::MATRIX).unwrap();
         assert_eq!(reloaded[1], edited, "rebuild sees the out-of-band edit");
         assert!(
-            db.recorded_inputs(
+            db.record(
                 ns::MATRIX,
                 &matrix_key("kerla", "beta", Workload::Benchmark)
             )
+            .unwrap()
+            .inputs
             .is_none(),
             "rebuild clears provenance of out-of-band-edited artifacts"
         );

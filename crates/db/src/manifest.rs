@@ -6,9 +6,9 @@
 //! suite) it keeps an [`ArtifactRecord`]: the fingerprint of the stored
 //! *output* and, once a sweep stage has attached provenance, the
 //! fingerprints of the *inputs* that produced it. A stage asks "is this
-//! cell current?" with one map lookup — current means a record exists,
-//! has provenance, and every recorded input fingerprint equals the
-//! freshly computed one. Editing one OS profile changes that profile's
+//! cell current?" with one map lookup (`Database::classify`) — current
+//! means a record exists, has provenance, and every recorded input
+//! fingerprint equals the freshly computed one. Editing one OS profile changes that profile's
 //! fingerprint and therefore invalidates exactly the cells downstream of
 //! it; everything else stays current.
 //!
@@ -16,9 +16,10 @@
 //! database root; if it is missing, corrupt, or from a different format
 //! version it is treated as empty and the engine degrades to re-measuring
 //! (never to serving stale artifacts): an artifact without provenance is
-//! *not* current. Raw `Database::save_*` writes reset the record's inputs
-//! for the same reason — content that did not come through a sweep stage
-//! has unknown provenance until the stage re-attaches it.
+//! *not* current. A raw `Database::put` that changes an artifact resets
+//! its record's inputs for the same reason — content that did not come
+//! through a sweep stage's `Database::commit` has unknown provenance
+//! until the stage re-attaches it.
 
 use std::collections::BTreeMap;
 

@@ -368,11 +368,12 @@ pub fn read(path: &Path, expected_state: Fingerprint) -> Option<Vec<(String, Val
 
 /// Writes a snapshot for `entries` tagged with `state`, atomically
 /// (`write_atomic`); errors are reported but harmless — a missing
-/// snapshot only costs the next rebuild.
+/// snapshot only costs the next rebuild. Values are encoded one at a
+/// time, so `entries` may build each one on the fly.
 pub fn write<'a>(
     path: &Path,
     state: Fingerprint,
-    entries: impl ExactSizeIterator<Item = (&'a str, &'a Value)>,
+    entries: impl ExactSizeIterator<Item = (&'a str, impl std::borrow::Borrow<Value>)>,
 ) -> std::io::Result<()> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
@@ -384,7 +385,7 @@ pub fn write<'a>(
         put_varint(key.len() as u64, &mut buf);
         buf.extend_from_slice(key.as_bytes());
         scratch.clear();
-        encode_value(value, &mut scratch);
+        encode_value(value.borrow(), &mut scratch);
         put_varint(scratch.len() as u64, &mut buf);
         buf.extend_from_slice(&scratch);
     }

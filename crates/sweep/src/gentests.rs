@@ -19,15 +19,17 @@
 //! as *stale*, mirroring `loupe report --check`'s drift contract.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 use loupe_apps::{AppModel, Workload};
-use loupe_core::{fingerprint_of, AppReport, Fingerprint};
+use loupe_core::{fingerprint_of, Fingerprint};
 use loupe_db::{ns, store, Database, DbError};
 use loupe_gentests::ConformanceSuite;
-use loupe_plan::{OsSpec, Tier};
+use loupe_plan::Tier;
 
 use crate::matrix::{sweep_matrix, MatrixConfig};
-use crate::{pool, Sweep, SweepFailure, SweepSummary};
+use crate::stage::{self, Failed, Outcome, Stage};
+use crate::SweepSummary;
 
 /// Configuration of a conformance-suite generation sweep.
 #[derive(Debug, Clone, Default)]
@@ -122,222 +124,154 @@ pub fn sweep_gentests(
     // One job per (os, stored baseline report). The reports are moved
     // out of the summary for the jobs' lifetime and restored after.
     let reports = std::mem::take(&mut summary.reports);
-    struct Job<'a> {
-        os: &'a OsSpec,
-        report: &'a AppReport,
-        inputs: BTreeMap<String, Fingerprint>,
-    }
     // A suite is a pure function of (OS spec, measurement report,
-    // matrix cell); the cell fingerprint comes from the matrix stage's
-    // manifest record when available, falling back to hashing the
-    // stored cell for databases predating provenance tracking.
-    let os_fps: Vec<Fingerprint> = cfg.matrix.oses.iter().map(fingerprint_of).collect();
+    // matrix cell). The matrix stage ran first on this handle and
+    // recorded every cell it hit or stored, so the cell fingerprint is
+    // its manifest record's; a cell without one was never stored, and
+    // the suite is generated without it.
     let report_fps: Vec<Fingerprint> = reports.iter().map(fingerprint_of).collect();
     let mut jobs = Vec::new();
-    for (os_idx, os_spec) in cfg.matrix.oses.iter().enumerate() {
-        for (r_idx, report) in reports.iter().enumerate() {
-            let mut inputs = BTreeMap::new();
-            inputs.insert("os".to_owned(), os_fps[os_idx]);
-            inputs.insert("report".to_owned(), report_fps[r_idx]);
-            let mkey = loupe_db::matrix_key(&os_spec.name, &report.app, report.workload);
-            match db.recorded_output(ns::MATRIX, &mkey) {
-                Some(fp) => {
-                    inputs.insert("cell".to_owned(), fp);
-                }
-                None => {
-                    if let Some(cell) = db.get(&store::MATRIX, &mkey)? {
-                        inputs.insert("cell".to_owned(), fingerprint_of(&cell));
-                    }
-                }
+    for os in &cfg.matrix.oses {
+        let os_fp = fingerprint_of(os);
+        for (report, &report_fp) in reports.iter().zip(&report_fps) {
+            let mut inputs: BTreeMap<_, _> =
+                [("os".to_owned(), os_fp), ("report".to_owned(), report_fp)].into();
+            let mkey = loupe_db::matrix_key(&os.name, &report.app, report.workload);
+            if let Some(cell) = db.record(ns::MATRIX, &mkey) {
+                inputs.insert("cell".to_owned(), cell.output);
             }
-            jobs.push(Job {
-                os: os_spec,
-                report,
+            let key = loupe_db::suite_key(&os.name, &report.app, report.workload);
+            jobs.push(stage::Job {
+                key,
                 inputs,
+                item: (os, report, mkey),
             });
         }
     }
 
-    struct CellOut {
-        cached: bool,
-        stale: bool,
+    /// One suite's verdict aggregate — what its manifest meta records.
+    struct Verdicts {
         cases: usize,
         vanilla_pass: bool,
         planned_pass: bool,
         disagreements: Vec<(Tier, bool, bool)>,
     }
-    enum JobOut {
-        Done(CellOut),
-        Db(DbError),
-    }
-
-    let force = cfg.matrix.sweep.force;
-    let workers = Sweep::new(cfg.matrix.sweep.clone()).worker_count(jobs.len());
-    let outcomes = pool::run_jobs(workers, &jobs, |job| {
-        let (os, app, workload) = (&job.os.name, &job.report.app, job.report.workload);
-        let key = loupe_db::suite_key(os, app, workload);
-        let current = db.is_current(ns::SUITES, &key, &job.inputs);
-        if current && !force {
-            // Provenance is current: serve the recorded aggregate
-            // without regenerating (generation is a pure function of
-            // the recorded inputs, so this is valid in check mode
-            // too). Only clean cells take this path — anything with a
-            // recorded disagreement is always re-derived.
-            if let Some(meta) = db.recorded_meta(ns::SUITES, &key) {
-                if let (Some(cases), Some(vanilla_pass), Some(planned_pass), Some("0")) = (
-                    meta.get("cases").and_then(|s| s.parse::<usize>().ok()),
-                    meta.get("vanilla_pass").map(|s| s == "true"),
-                    meta.get("planned_pass").map(|s| s == "true"),
-                    meta.get("disagreements").map(String::as_str),
-                ) {
-                    db.note_hit(ns::SUITES);
-                    return JobOut::Done(CellOut {
-                        cached: true,
-                        stale: false,
-                        cases,
-                        vanilla_pass,
-                        planned_pass,
-                        disagreements: Vec::new(),
-                    });
-                }
-            }
+    // Generation is a pure function of the recorded inputs, so a current
+    // record answers with its aggregate (in check mode too). Only clean
+    // suites take this path: a recorded disagreement is always
+    // re-derived, so it is reported again.
+    let accept = |meta: &BTreeMap<String, String>| match (
+        meta.get("cases").and_then(|s| s.parse::<usize>().ok()),
+        meta.get("vanilla_pass"),
+        meta.get("planned_pass"),
+        meta.get("disagreements").map(String::as_str),
+    ) {
+        (Some(cases), Some(vanilla), Some(planned), Some("0")) => Some(Verdicts {
+            cases,
+            vanilla_pass: vanilla == "true",
+            planned_pass: planned == "true",
+            disagreements: Vec::new(),
+        }),
+        _ => None,
+    };
+    let sweep = &cfg.matrix.sweep;
+    let stage = Stage::new(db, &store::SUITES, sweep.workers, sweep.force);
+    // A derive regenerates the suite and compares it with the stored one
+    // (`Some(identical)`); check mode stops there and reports a
+    // mismatch as stale (`Some(false)`). Otherwise the suite is
+    // committed — an identical one only heals its provenance — and a
+    // changed or new one counts as generated (`None`).
+    let outcomes = stage.run(&jobs, accept, |job, why| {
+        let (os, report, mkey) = &job.item;
+        let cell = db.get(&store::MATRIX, mkey)?;
+        let suite = ConformanceSuite::generate(os, report, cell.as_ref());
+        let identical = !sweep.force && db.get(&store::SUITES, &job.key)?.as_ref() == Some(&suite);
+        let verdicts = Verdicts {
+            cases: suite.cases.len(),
+            vanilla_pass: suite.verdict(os, Tier::Vanilla),
+            planned_pass: suite.verdict(os, Tier::Planned),
+            disagreements: suite.disagreements(os),
+        };
+        if cfg.check {
+            return Ok::<_, Failed<Infallible>>((Some(identical), verdicts));
         }
-        let cell = match db.get(&store::MATRIX, &loupe_db::matrix_key(os, app, workload)) {
-            Ok(cell) => cell,
-            Err(e) => return JobOut::Db(e),
-        };
-        let fresh = ConformanceSuite::generate(job.os, job.report, cell.as_ref());
-        let stored = match db.get(&store::SUITES, &key) {
-            Ok(stored) => stored,
-            Err(e) => return JobOut::Db(e),
-        };
-        let had_entry = stored.is_some() || db.recorded_output(ns::SUITES, &key).is_some();
-        let identical = stored.as_ref() == Some(&fresh);
-        let disagreements = fresh.disagreements(job.os);
-        let vanilla_pass = fresh.verdict(job.os, Tier::Vanilla);
-        let planned_pass = fresh.verdict(job.os, Tier::Planned);
-        let mut meta = BTreeMap::new();
-        meta.insert("cases".to_owned(), fresh.cases.len().to_string());
-        meta.insert("vanilla_pass".to_owned(), vanilla_pass.to_string());
-        meta.insert("planned_pass".to_owned(), planned_pass.to_string());
-        meta.insert("disagreements".to_owned(), disagreements.len().to_string());
-        let (cached, stale) = if identical && !force {
-            // Content already matches; the regeneration only happened
-            // because provenance was missing or stale — heal the
-            // record so the next sweep takes the fast path.
-            if current {
-                db.note_hit(ns::SUITES);
-            } else {
-                db.note_stale(ns::SUITES);
-            }
-            if !cfg.check {
-                db.record_provenance(ns::SUITES, &key, job.inputs.clone(), meta);
-            }
-            (true, false)
-        } else if cfg.check {
-            if had_entry {
-                db.note_stale(ns::SUITES);
-            } else {
-                db.note_miss(ns::SUITES);
-            }
-            (false, true)
-        } else {
-            if had_entry && !force {
-                db.note_stale(ns::SUITES);
-            } else {
-                db.note_miss(ns::SUITES);
-            }
-            if let Err(e) = db.put(&store::SUITES, &fresh) {
-                return JobOut::Db(e);
-            }
-            db.record_provenance(ns::SUITES, &key, job.inputs.clone(), meta);
-            (false, false)
-        };
-        JobOut::Done(CellOut {
-            cached,
-            stale,
-            cases: fresh.cases.len(),
-            vanilla_pass,
-            planned_pass,
-            disagreements,
-        })
+        let meta = [
+            ("cases", verdicts.cases.to_string()),
+            ("vanilla_pass", verdicts.vanilla_pass.to_string()),
+            ("planned_pass", verdicts.planned_pass.to_string()),
+            ("disagreements", verdicts.disagreements.len().to_string()),
+        ]
+        .map(|(k, v)| (k.to_owned(), v));
+        stage.commit(job, why, &suite, meta.into())?;
+        Ok((identical.then_some(true), verdicts))
     });
 
-    let mut generated = 0;
-    let mut cached = 0;
+    let (mut generated, mut cached) = (0, 0);
     let mut stale = Vec::new();
     let mut disagreements = Vec::new();
     let mut slices: BTreeMap<(String, &'static str), SuiteSliceStats> = BTreeMap::new();
-    let mut failures: Vec<SweepFailure> = Vec::new();
     for (outcome, job) in outcomes.into_iter().zip(&jobs) {
-        let key = (job.os.name.clone(), job.report.workload.label());
-        match outcome {
-            Ok(JobOut::Done(out)) => {
-                if out.cached {
-                    cached += 1;
-                } else if out.stale {
-                    stale.push((
-                        job.os.name.clone(),
-                        job.report.app.clone(),
-                        job.report.workload,
-                    ));
-                } else {
-                    generated += 1;
-                }
-                for (tier, suite_pass, matrix_pass) in out.disagreements {
-                    disagreements.push(Disagreement {
-                        os: job.os.name.clone(),
-                        app: job.report.app.clone(),
-                        workload: job.report.workload,
-                        tier,
-                        suite_pass,
-                        matrix_pass,
-                    });
-                }
-                let slice = slices.entry(key).or_insert_with(|| SuiteSliceStats {
-                    os: job.os.name.clone(),
-                    workload: job.report.workload,
-                    suites: 0,
-                    cases: 0,
-                    vanilla_pass: 0,
-                    planned_pass: 0,
-                });
-                slice.suites += 1;
-                slice.cases += out.cases;
-                slice.vanilla_pass += usize::from(out.vanilla_pass);
-                slice.planned_pass += usize::from(out.planned_pass);
+        let (os, report, _) = job.item;
+        let out = match outcome {
+            Ok(Outcome::Hit(out)) | Ok(Outcome::Derived((Some(true), out))) => {
+                cached += 1;
+                out
             }
-            Ok(JobOut::Db(e)) => return Err(e),
-            Err(panic) => failures.push(SweepFailure {
-                app: job.report.app.clone(),
-                workload: job.report.workload,
-                error: format!("suite generation panicked: {panic}"),
-            }),
+            Ok(Outcome::Derived((Some(false), out))) => {
+                stale.push((os.name.clone(), report.app.clone(), report.workload));
+                out
+            }
+            Ok(Outcome::Derived((None, out))) => {
+                generated += 1;
+                out
+            }
+            Err(failed) => {
+                let what = "suite generation";
+                summary
+                    .failures
+                    .push(failed.into_failure(&report.app, report.workload, what)?);
+                continue;
+            }
+        };
+        for (tier, suite_pass, matrix_pass) in out.disagreements {
+            disagreements.push(Disagreement {
+                os: os.name.clone(),
+                app: report.app.clone(),
+                workload: report.workload,
+                tier,
+                suite_pass,
+                matrix_pass,
+            });
         }
+        let slice = slices
+            .entry((os.name.clone(), report.workload.label()))
+            .or_insert_with(|| SuiteSliceStats {
+                os: os.name.clone(),
+                workload: report.workload,
+                suites: 0,
+                cases: 0,
+                vanilla_pass: 0,
+                planned_pass: 0,
+            });
+        slice.suites += 1;
+        slice.cases += out.cases;
+        slice.vanilla_pass += usize::from(out.vanilla_pass);
+        slice.planned_pass += usize::from(out.planned_pass);
     }
     drop(jobs);
     summary.reports = reports;
     summary.cache = db.session_cache_stats();
-    summary.failures.extend(failures);
-    summary.failures.sort_by(|a, b| {
-        (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
-    });
-    stale.sort_by(|a, b| {
-        (a.0.as_str(), a.1.as_str(), a.2.label()).cmp(&(b.0.as_str(), b.1.as_str(), b.2.label()))
-    });
-    disagreements.sort_by(|a, b| {
+    summary
+        .failures
+        .sort_by_key(|f| (f.app.clone(), f.workload.label()));
+    stale.sort_by_key(|(os, app, workload)| (os.clone(), app.clone(), workload.label()));
+    disagreements.sort_by_key(|d| {
         (
-            a.os.as_str(),
-            a.app.as_str(),
-            a.workload.label(),
-            a.tier.label(),
+            d.os.clone(),
+            d.app.clone(),
+            d.workload.label(),
+            d.tier.label(),
         )
-            .cmp(&(
-                b.os.as_str(),
-                b.app.as_str(),
-                b.workload.label(),
-                b.tier.label(),
-            ))
     });
 
     Ok(GentestsSummary {

@@ -52,6 +52,7 @@ pub mod matrix;
 pub mod plans;
 pub(crate) mod pool;
 pub mod report;
+pub(crate) mod stage;
 pub mod statics;
 
 pub use gentests::{
@@ -71,9 +72,10 @@ use loupe_core::{
     fingerprint_of, transfer_hints, AnalysisConfig, AppReport, Engine, FeatureClass, Fingerprint,
     RunStats,
 };
-use loupe_db::{ns, store, CacheStats, Database, DbError};
-use loupe_plan::{api_importance, AppRequirement, ImportancePoint};
+use loupe_db::{store, CacheStats, Database, DbError};
+use loupe_plan::{api_importance, AppRequirement, ImportancePoint, OsSpec};
 use loupe_syscalls::{Category, Sysno};
+use stage::{Failed, Outcome, Stage};
 
 /// Fingerprint of the analysis configuration *as a measurement input*:
 /// scheduling-only knobs (probe-scheduler jobs, replica parallelism) are
@@ -99,6 +101,16 @@ pub fn baseline_inputs(
     inputs.insert("app".to_owned(), fingerprint_of(&(app.spec(), app.code())));
     inputs.insert("workload".to_owned(), fingerprint_of(&workload));
     inputs.insert("config".to_owned(), analysis_fingerprint(analysis));
+    inputs
+}
+
+/// Input fingerprints of one plan validation, a deterministic replay of
+/// the plan generated for `os` from a requirement list (`reqs`, its
+/// `fingerprint_of`). Shared by the plan stage and `plan --validate`.
+pub fn plan_inputs(os: &OsSpec, reqs: Fingerprint) -> BTreeMap<String, Fingerprint> {
+    let mut inputs = BTreeMap::new();
+    inputs.insert("os".to_owned(), fingerprint_of(os));
+    inputs.insert("requirements".to_owned(), reqs);
     inputs
 }
 
@@ -188,12 +200,9 @@ pub struct SweepSummary {
     pub cache: CacheStats,
 }
 
-enum JobOutcome {
-    Fresh(AppReport),
-    Cached(AppReport),
-    Failed(SweepFailure),
-    Db(DbError),
-}
+/// A baseline job's report, flagged when measured in this sweep, or
+/// its failure.
+type Measured = Result<(AppReport, bool), SweepFailure>;
 
 /// The concurrent fleet-sweep driver.
 #[derive(Debug, Clone, Default)]
@@ -205,25 +214,6 @@ impl Sweep {
     /// Creates a driver with the given configuration.
     pub fn new(cfg: SweepConfig) -> Sweep {
         Sweep { cfg }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SweepConfig {
-        &self.cfg
-    }
-
-    /// Effective worker count for `jobs` queued jobs.
-    pub(crate) fn worker_count(&self, jobs: usize) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16);
-        let chosen = if self.cfg.workers == 0 {
-            auto
-        } else {
-            self.cfg.workers
-        };
-        chosen.clamp(1, jobs.max(1))
     }
 
     /// Runs the sweep over `apps` × `config.workloads`, persisting every
@@ -248,13 +238,6 @@ impl Sweep {
         let mut seen = std::collections::BTreeSet::new();
         apps.retain(|app| seen.insert(app.name().to_owned()));
 
-        // Warm the namespace snapshots up front so the per-job cache
-        // checks are memory lookups. Best-effort: a failure here only
-        // means jobs fall back to per-file reads.
-        if !apps.is_empty() {
-            let _ = db.preload();
-        }
-
         let jobs_for = |range: std::ops::Range<usize>| -> Vec<(usize, Workload)> {
             range
                 .flat_map(|a| self.cfg.workloads.iter().map(move |&w| (a, w)))
@@ -266,11 +249,12 @@ impl Sweep {
             // empty summary on both paths; the seed clamp below needs a
             // non-empty app list.
             None | Some(_) if apps.is_empty() => Vec::new(),
-            None => self.run_pass(db, &apps, &jobs_for(0..apps.len()), &BTreeMap::new()),
+            None => self.run_pass(db, &apps, &jobs_for(0..apps.len()), &BTreeMap::new())?,
             Some(transfer) => {
                 // Pass 1: measure the seed subset in full.
                 let seed = transfer.seed.clamp(1, apps.len());
-                let mut outcomes = self.run_pass(db, &apps, &jobs_for(0..seed), &BTreeMap::new());
+                let mut outcomes =
+                    self.run_pass(db, &apps, &jobs_for(0..seed), &BTreeMap::new())?;
                 // Conservative per-workload hints from the seed reports
                 // (cached seed entries teach too — they are stored
                 // full measurements of the same fleet).
@@ -278,14 +262,9 @@ impl Sweep {
                 for &workload in &self.cfg.workloads {
                     let teachers: Vec<AppReport> = outcomes
                         .iter()
-                        .filter_map(|o| match o {
-                            JobOutcome::Fresh(r) | JobOutcome::Cached(r)
-                                if r.workload == workload =>
-                            {
-                                Some(r.clone())
-                            }
-                            _ => None,
-                        })
+                        .flatten()
+                        .filter(|(r, _)| r.workload == workload)
+                        .map(|(r, _)| r.clone())
                         .collect();
                     let mut workload_hints = transfer_hints(&teachers, transfer.min_agreement);
                     // Only *avoidable* classes transfer: the combined
@@ -299,7 +278,7 @@ impl Sweep {
                     hints.insert(workload, workload_hints);
                 }
                 // Pass 2: the rest of the fleet rides on the hints.
-                outcomes.extend(self.run_pass(db, &apps, &jobs_for(seed..apps.len()), &hints));
+                outcomes.extend(self.run_pass(db, &apps, &jobs_for(seed..apps.len()), &hints)?);
                 outcomes
             }
         };
@@ -315,125 +294,87 @@ impl Sweep {
         };
         for outcome in outcomes {
             match outcome {
-                JobOutcome::Fresh(r) => {
+                Ok((r, true)) => {
                     summary.analyzed += 1;
                     summary.runs.absorb(&r.stats);
                     summary.reports.push(r);
                 }
-                JobOutcome::Cached(r) => {
+                Ok((r, false)) => {
                     summary.cached += 1;
                     summary.reports.push(r);
                 }
-                JobOutcome::Failed(f) => summary.failures.push(f),
-                JobOutcome::Db(e) => return Err(e),
+                Err(f) => summary.failures.push(f),
             }
         }
-        summary.reports.sort_by(|a, b| {
-            (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
-        });
-        summary.failures.sort_by(|a, b| {
-            (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
-        });
+        summary
+            .reports
+            .sort_by_key(|r| (r.app.clone(), r.workload.label()));
+        summary
+            .failures
+            .sort_by_key(|f| (f.app.clone(), f.workload.label()));
         summary.cache = db.session_cache_stats();
         Ok(summary)
     }
 
-    /// Runs one scheduling pass over `jobs` on the bounded worker pool.
-    /// Each job's outcome lands in the slot of its job index, so the
-    /// returned order never depends on worker scheduling. A job whose
-    /// app model *panics* becomes a per-app [`SweepFailure`] naming the
-    /// app, instead of poisoning the pool and killing the whole sweep.
+    /// Runs one pass of baseline jobs through the cache gate, returning
+    /// one [`Measured`] per job in job order. A hit loads its stored
+    /// report (the sweep hands every report on); a stale or missing
+    /// entry is measured with `hints` and committed. A job whose app
+    /// model *panics* becomes a per-app [`SweepFailure`] naming the app.
     fn run_pass(
         &self,
         db: &Database,
         apps: &[Box<dyn AppModel>],
         jobs: &[(usize, Workload)],
         hints: &BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>>,
-    ) -> Vec<JobOutcome> {
-        let workers = self.worker_count(jobs.len());
-        pool::run_jobs(workers, jobs, |&(app_idx, workload)| {
-            let engine = Engine::new(self.cfg.analysis.clone());
-            self.run_job(db, &engine, apps[app_idx].as_ref(), workload, hints)
-        })
-        .into_iter()
-        .zip(jobs)
-        .map(|(outcome, &(app_idx, workload))| match outcome {
-            Ok(o) => o,
-            Err(panic) => JobOutcome::Failed(SweepFailure {
-                app: apps[app_idx].name().to_owned(),
-                workload,
-                error: format!("app model panicked: {panic}"),
-            }),
-        })
-        .collect()
-    }
-
-    fn run_job(
-        &self,
-        db: &Database,
-        engine: &Engine,
-        app: &dyn AppModel,
-        workload: Workload,
-        hints: &BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>>,
-    ) -> JobOutcome {
-        let key = loupe_db::baseline_key(app.name(), workload);
-        let inputs = baseline_inputs(app, workload, &self.cfg.analysis);
-        // Current = the stored entry's recorded input fingerprints match
-        // this job's. A stored entry with different (or unknown)
-        // provenance is *stale*: it is re-measured and replaced, because
-        // merging with content produced by other inputs would poison the
-        // fresh measurement.
-        let current = db.is_current(ns::BASELINES, &key, &inputs);
-        let had_entry = match db.get(&store::BASELINES, &key) {
-            Ok(Some(cached)) if current && !self.cfg.force => {
-                db.note_hit(ns::BASELINES);
-                return JobOutcome::Cached(cached);
-            }
-            Ok(existing) => existing.is_some(),
-            Err(e) => return JobOutcome::Db(e),
-        };
-        let stale = had_entry && !current;
-        if stale {
-            db.note_stale(ns::BASELINES);
-        } else {
-            db.note_miss(ns::BASELINES);
-        }
+    ) -> Result<Vec<Measured>, DbError> {
+        let jobs: Vec<stage::Job<(usize, Workload)>> = jobs
+            .iter()
+            .map(|&(a, workload)| stage::Job {
+                key: loupe_db::baseline_key(apps[a].name(), workload),
+                inputs: baseline_inputs(apps[a].as_ref(), workload, &self.cfg.analysis),
+                item: (a, workload),
+            })
+            .collect();
+        let stage = Stage::new(db, &store::BASELINES, self.cfg.workers, self.cfg.force);
         let empty = BTreeMap::new();
-        let workload_hints = hints.get(&workload).unwrap_or(&empty);
-        let report = match engine.analyze_with_hints(app, workload, workload_hints) {
-            Ok(r) => r,
-            Err(e) => {
-                return JobOutcome::Failed(SweepFailure {
-                    app: app.name().to_owned(),
-                    workload,
-                    error: e.to_string(),
-                })
+        let outcomes = stage.run(&jobs, stage::any, |job, why| {
+            let (a, workload) = job.item;
+            let engine = Engine::new(self.cfg.analysis.clone());
+            let workload_hints = hints.get(&workload).unwrap_or(&empty);
+            let report = engine
+                .analyze_with_hints(apps[a].as_ref(), workload, workload_hints)
+                .map_err(|e| Failed::Job(e.to_string()))?;
+            if report.is_linux_baseline() {
+                stage.commit(job, why, &report, BTreeMap::new())?;
+            } else {
+                // A restricted-environment measurement is stored beside
+                // the baselines, never as one (and carries no
+                // provenance: it never answers a baseline job).
+                db.put(&store::ENV, &report)?;
             }
-        };
-        let namespace = store::reports(&report.env);
-        let saved = if stale {
-            db.put_replacing(namespace, &report)
-        } else {
-            db.put(namespace, &report)
-        };
-        if let Err(e) = saved {
-            return JobOutcome::Db(e);
-        }
-        if report.is_linux_baseline() {
-            db.record_provenance(ns::BASELINES, &key, inputs, BTreeMap::new());
-        }
-        if !had_entry || stale {
-            // The database now holds exactly this report (fresh save or
-            // replacement), so skip the re-read.
-            return JobOutcome::Fresh(report);
-        }
-        // A forced re-measure merged conservatively with the stored entry;
-        // report what the database now holds so summaries match later reads.
-        match db.get(&store::BASELINES, &key) {
-            Ok(Some(stored)) => JobOutcome::Fresh(stored),
-            Ok(None) => JobOutcome::Fresh(report),
-            Err(e) => JobOutcome::Db(e),
-        }
+            Ok(report)
+        });
+        outcomes
+            .into_iter()
+            .zip(&jobs)
+            .map(|(outcome, job)| {
+                let (a, workload) = job.item;
+                Ok(match outcome {
+                    Ok(Outcome::Hit(())) => Ok((stage.stored(job)?, false)),
+                    // A forced re-measure merged conservatively with the
+                    // stored entry: report what the database now holds,
+                    // so summaries match later reads.
+                    Ok(Outcome::Derived(r)) if self.cfg.force && r.is_linux_baseline() => {
+                        Ok((stage.stored(job)?, true))
+                    }
+                    Ok(Outcome::Derived(r)) => Ok((r, true)),
+                    Err(failed) => {
+                        Err(failed.into_failure(apps[a].name(), workload, "app model")?)
+                    }
+                })
+            })
+            .collect()
     }
 }
 

@@ -25,12 +25,13 @@
 use std::collections::BTreeMap;
 
 use loupe_apps::{AppModel, Workload};
-use loupe_core::{fingerprint_of, Fingerprint, TestScript};
-use loupe_db::{ns, store, Database, DbError};
+use loupe_core::{fingerprint_of, AppReport, Fingerprint, TestScript};
+use loupe_db::{ns, store, Database, DbError, Derive};
 use loupe_plan::{measure_cell, os, AppRequirement, MatrixCell, OsSpec, Tier};
 use loupe_syscalls::Sysno;
 
-use crate::{pool, Sweep, SweepConfig, SweepFailure, SweepSummary};
+use crate::stage::{self, Failed, Outcome, Stage};
+use crate::{Sweep, SweepConfig, SweepSummary};
 
 /// Configuration of a matrix sweep.
 #[derive(Debug, Clone)]
@@ -180,153 +181,105 @@ pub fn sweep_matrix(
     let sweep = Sweep::new(cfg.sweep.clone());
     let mut summary = sweep.run(db, apps)?;
 
-    // Requirements for every app with a stored baseline, per workload.
-    // Models are re-resolved from the registry by name inside each job:
-    // the boxed inputs were consumed by the baseline sweep.
-    let mut reqs: BTreeMap<(Workload, String), (AppRequirement, BTreeMap<String, bool>)> =
-        BTreeMap::new();
-    for report in &summary.reports {
-        reqs.insert(
-            (report.workload, report.app.clone()),
-            (
-                AppRequirement::from_report(report),
-                report.baseline.features.clone(),
-            ),
-        );
-    }
-    // Fingerprints are computed once per distinct input, not once per
-    // job: the cell inputs are the cross product of per-OS and per-app
-    // fingerprints, so a warm sweep's per-job cost is map lookups only.
-    let os_fps: BTreeMap<&str, Fingerprint> = cfg
-        .oses
+    // The requirement of every app with a stored baseline, per workload,
+    // and the fingerprints of it and of the baseline feature map the
+    // cells are evaluated against — computed once per app, not per job:
+    // a cell's inputs are the cross product of per-OS and per-app
+    // fingerprints. Models are re-resolved from the registry by name
+    // inside each job: the boxed inputs were consumed by the baseline
+    // sweep.
+    let reqs: Vec<(AppRequirement, &AppReport, [Fingerprint; 2])> = summary
+        .reports
         .iter()
-        .map(|o| (o.name.as_str(), fingerprint_of(o)))
+        .map(|report| {
+            let req = AppRequirement::from_report(report);
+            let fps = [
+                fingerprint_of(&req),
+                fingerprint_of(&report.baseline.features),
+            ];
+            (req, report, fps)
+        })
         .collect();
-    let req_fps: BTreeMap<&(Workload, String), (Fingerprint, Fingerprint)> = reqs
-        .iter()
-        .map(|(key, (req, features))| (key, (fingerprint_of(req), fingerprint_of(features))))
-        .collect();
-
-    struct Job<'a> {
-        os: &'a OsSpec,
-        req: &'a AppRequirement,
-        baseline_features: &'a BTreeMap<String, bool>,
-        workload: Workload,
-        inputs: BTreeMap<String, Fingerprint>,
-    }
     let mut jobs = Vec::new();
-    for os_spec in &cfg.oses {
-        for (key, (req, features)) in &reqs {
-            let (req_fp, features_fp) = req_fps[key];
-            let mut inputs = BTreeMap::new();
-            inputs.insert("os".to_owned(), os_fps[os_spec.name.as_str()]);
-            inputs.insert("requirement".to_owned(), req_fp);
-            inputs.insert("features".to_owned(), features_fp);
-            jobs.push(Job {
-                os: os_spec,
-                req,
-                baseline_features: features,
-                workload: key.0,
-                inputs,
+    for os in &cfg.oses {
+        let os_fp = fingerprint_of(os);
+        for (req, report, [req_fp, features_fp]) in &reqs {
+            let inputs = [
+                ("os", os_fp),
+                ("requirement", *req_fp),
+                ("features", *features_fp),
+            ];
+            jobs.push(stage::Job {
+                key: loupe_db::matrix_key(&os.name, &req.app, report.workload),
+                inputs: inputs.map(|(role, fp)| (role.to_owned(), fp)).into(),
+                item: (os, req, *report),
             });
         }
-    }
-
-    enum JobOut {
-        Fresh,
-        Cached,
-        Skipped(SweepFailure),
-        Db(DbError),
     }
 
     let script = TestScript::default();
-    let workers = sweep.worker_count(jobs.len());
     let measures_both = cfg.tier != Some(Tier::Vanilla);
-    let needs = |cell: &MatrixCell| -> bool {
-        // A cached cell satisfies the sweep only when it covers every
-        // tier this configuration measures.
-        cell.vanilla.is_some() && (!measures_both || cell.planned.is_some())
+    // A current cell satisfies the sweep only when its recorded tiers
+    // cover every tier this configuration measures.
+    let accept = |meta: &BTreeMap<String, String>| {
+        let tiers = meta.get("tiers");
+        tiers
+            .is_some_and(|t| t == "both" || !measures_both)
+            .then_some(())
     };
-    let outcomes = pool::run_jobs(workers, &jobs, |job| {
-        let key = loupe_db::matrix_key(&job.os.name, &job.req.app, job.workload);
-        let current = db.is_current(ns::MATRIX, &key, &job.inputs);
-        let stored = match db.get(&store::MATRIX, &key) {
-            Ok(Some(cell)) if current && !cfg.sweep.force && needs(&cell) => {
-                db.note_hit(ns::MATRIX);
-                return JobOut::Cached;
-            }
-            Ok(stored) => stored,
-            Err(e) => return JobOut::Db(e),
+    let stage = Stage::new(db, &store::MATRIX, cfg.sweep.workers, cfg.sweep.force);
+    let outcomes = stage.run(&jobs, accept, |job, why| {
+        let (os, req, report) = job.item;
+        let Some(model) = loupe_apps::registry::find(&req.app) else {
+            return Err(Failed::Job(format!("no runnable model for `{}`", req.app)));
         };
-        // Stale = a cell exists but its recorded inputs no longer match
-        // (e.g. the OS profile or the app's baseline changed): the fresh
-        // measurement *replaces* it — tiers measured against outdated
-        // inputs must not survive tier composition. A current cell that
-        // merely lacks a tier (a prior `--tier vanilla` sweep) keeps its
-        // stored tiers and composes.
-        let stale = stored.is_some() && !current;
-        if stale {
-            db.note_stale(ns::MATRIX);
-        } else {
-            db.note_miss(ns::MATRIX);
-        }
-        let Some(model) = loupe_apps::registry::find(&job.req.app) else {
-            return JobOut::Skipped(SweepFailure {
-                app: job.req.app.clone(),
-                workload: job.workload,
-                error: format!("no runnable model for `{}`", job.req.app),
-            });
-        };
-        // The baseline sweep only stores reports whose baseline passed,
-        // so every app reaching this point passed on full Linux.
+        // The baseline sweep only stores reports whose baseline
+        // passed, so every app reaching this point passed on full
+        // Linux.
+        let features = Some(&report.baseline.features);
         let cell = measure_cell(
-            job.os,
-            job.req,
+            os,
+            req,
             model.as_ref(),
-            job.workload,
+            report.workload,
             true,
             cfg.tier,
             &script,
-            Some(job.baseline_features),
+            features,
         );
-        let saved = if stale {
-            db.put_replacing(&store::MATRIX, &cell)
-        } else {
-            db.put(&store::MATRIX, &cell)
+        // Coverage after the commit: a stale cell is replaced by
+        // what was just measured (tiers measured against outdated
+        // inputs must not survive tier composition); a missed one
+        // composes, keeping any planned tier it has.
+        let kept_both = || {
+            let rec = db.record(ns::MATRIX, &job.key);
+            rec.is_some_and(|rec| rec.meta.get("tiers").is_some_and(|t| t == "both"))
         };
-        if let Err(e) = saved {
-            return JobOut::Db(e);
-        }
-        // Coverage after this save: replaced cells hold what was just
-        // measured; composed cells keep any stored planned tier.
-        let covers_both =
-            measures_both || (!stale && stored.as_ref().is_some_and(|c| c.planned.is_some()));
-        let meta = [(
+        let both = measures_both || (why == Derive::Miss && kept_both());
+        let tiers = [(
             "tiers".to_owned(),
-            if covers_both { "both" } else { "vanilla" }.to_owned(),
-        )]
-        .into();
-        db.record_provenance(ns::MATRIX, &key, job.inputs.clone(), meta);
-        JobOut::Fresh
+            if both { "both" } else { "vanilla" }.to_owned(),
+        )];
+        Ok(stage.commit(job, why, &cell, tiers.into())?)
     });
 
     let mut matrix = MatrixSummary::default();
     for (outcome, job) in outcomes.into_iter().zip(&jobs) {
         match outcome {
-            Ok(JobOut::Fresh) => matrix.analyzed += 1,
-            Ok(JobOut::Cached) => matrix.cached += 1,
-            Ok(JobOut::Skipped(f)) => summary.failures.push(f),
-            Ok(JobOut::Db(e)) => return Err(e),
-            Err(panic) => summary.failures.push(SweepFailure {
-                app: job.req.app.clone(),
-                workload: job.workload,
-                error: format!("matrix measurement panicked: {panic}"),
-            }),
+            Ok(Outcome::Hit(())) => matrix.cached += 1,
+            Ok(Outcome::Derived(())) => matrix.analyzed += 1,
+            Err(failed) => {
+                let (_, req, report) = job.item;
+                let what = "matrix measurement";
+                summary
+                    .failures
+                    .push(failed.into_failure(&req.app, report.workload, what)?);
+            }
         }
     }
-    summary.failures.sort_by(|a, b| {
-        (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
-    });
+    summary
+        .failures
+        .sort_by_key(|f| (f.app.clone(), f.workload.label()));
 
     // Aggregate everything now stored for the swept OSes — including
     // cells from earlier (cached) sweeps, so the summary always reflects
@@ -443,6 +396,17 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(cell.vanilla.is_some() && cell.planned.is_some());
+
+        // A cell covering both tiers satisfies a vanilla-only sweep: it
+        // is answered from its manifest record, all hits.
+        cfg.tier = Some(Tier::Vanilla);
+        drop(db);
+        let db = Database::open(&dir).unwrap();
+        let vanilla = sweep_matrix(&db, apps(), &cfg).unwrap();
+        let matrix = vanilla.matrix.as_ref().unwrap();
+        assert_eq!((matrix.analyzed, matrix.cached), (0, 2));
+        let counted = db.session_cache_stats().namespaces[ns::MATRIX];
+        assert_eq!((counted.hits, counted.misses, counted.stale), (2, 0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,10 +9,12 @@ use std::fmt;
 
 use loupe_apps::{registry, Workload};
 use loupe_core::fingerprint_of;
-use loupe_db::{ns, store, Database, DbError};
+use loupe_db::{store, Database, DbError};
 use loupe_plan::{
     os, AppRequirement, OsSpec, PlanValidation, PlanValidator, SupportPlan, ValidateError,
 };
+
+use crate::stage::{self, Failed, Outcome, Stage};
 
 /// Errors from a fleet-wide validation pass.
 #[derive(Debug)]
@@ -61,48 +63,54 @@ pub fn validate_plans(
     workloads: &[Workload],
     oses: &[OsSpec],
 ) -> Result<Vec<PlanValidation>, PlanSweepError> {
-    let validator = PlanValidator::new();
-    let mut out = Vec::new();
     let grouped = crate::report::reports_by_workload(db)?;
+    let mut planned = Vec::new();
     for &workload in workloads {
-        let Some(reports) = grouped.get(&workload) else {
-            continue;
-        };
-        let reqs: Vec<AppRequirement> = reports.iter().map(AppRequirement::from_report).collect();
-        // One requirements fingerprint per workload, one OS fingerprint
-        // per spec: a validation is a deterministic replay of the plan
-        // generated from exactly these two inputs.
-        let reqs_fp = fingerprint_of(&reqs);
-        for spec in oses {
-            let key = loupe_db::plan_key(&spec.name, workload);
-            let mut inputs = BTreeMap::new();
-            inputs.insert("os".to_owned(), fingerprint_of(spec));
-            inputs.insert("requirements".to_owned(), reqs_fp);
-            if db.is_current(ns::PLANS, &key, &inputs) {
-                if let Some(stored) = db.get(&store::PLANS, &key)? {
-                    db.note_hit(ns::PLANS);
-                    out.push(stored);
-                    continue;
-                }
-            }
-            if db.recorded_output(ns::PLANS, &key).is_some() {
-                db.note_stale(ns::PLANS);
-            } else {
-                db.note_miss(ns::PLANS);
-            }
-            let plan = SupportPlan::generate(spec, &reqs);
-            let validation = validator
-                .validate(spec, &plan, &reqs, workload, registry::find)
-                .map_err(|error| PlanSweepError::Validate {
-                    os: spec.name.clone(),
-                    error,
-                })?;
-            db.put(&store::PLANS, &validation)?;
-            db.record_provenance(ns::PLANS, &key, inputs, BTreeMap::new());
-            out.push(validation);
+        if let Some(reports) = grouped.get(&workload) {
+            let reqs: Vec<AppRequirement> =
+                reports.iter().map(AppRequirement::from_report).collect();
+            planned.push((workload, reqs));
         }
     }
-    Ok(out)
+    let mut jobs = Vec::new();
+    for (workload, reqs) in &planned {
+        let reqs_fp = fingerprint_of(reqs);
+        for spec in oses {
+            jobs.push(stage::Job {
+                key: loupe_db::plan_key(&spec.name, *workload),
+                inputs: crate::plan_inputs(spec, reqs_fp),
+                item: (spec, *workload, reqs),
+            });
+        }
+    }
+
+    let validator = PlanValidator::new();
+    let stage = Stage::new(db, &store::PLANS, 0, false);
+    let outcomes = stage.run(&jobs, stage::any, |job, why| {
+        let (spec, workload, reqs) = job.item;
+        let plan = SupportPlan::generate(spec, reqs);
+        let validation = validator
+            .validate(spec, &plan, reqs, workload, registry::find)
+            .map_err(Failed::Job)?;
+        stage.commit(job, why, &validation, BTreeMap::new())?;
+        Ok(validation)
+    });
+    outcomes
+        .into_iter()
+        .zip(&jobs)
+        .map(|(outcome, job)| match outcome {
+            Ok(Outcome::Hit(())) => Ok(stage.stored(job)?),
+            Ok(Outcome::Derived(validation)) => Ok(validation),
+            Err(failed) => {
+                let (spec, workload, _) = job.item;
+                let error = failed.into_error(|| {
+                    format!("validating the {} plan ({})", spec.name, workload.label())
+                })?;
+                let os = spec.name.clone();
+                Err(PlanSweepError::Validate { os, error })
+            }
+        })
+        .collect()
 }
 
 /// Validates plans for the curated OS specs of §4.1 — the default set

@@ -1,13 +1,8 @@
-//! The work-stealing worker pool shared by the sweep stages.
-//!
-//! Both the dynamic fleet sweep ([`crate::Sweep`]) and the static
-//! analysis stage ([`crate::statics`]) fan a job list out over a fixed
-//! number of worker threads. Jobs are dealt round-robin into per-worker
+//! The work-stealing worker pool behind the stage runner
+//! ([`crate::stage`]). Jobs are dealt round-robin into per-worker
 //! deques; a worker drains its own deque from the front and, when empty,
-//! steals from the back of its neighbours'. Compared to the previous
-//! single shared counter, contention stays on the cold path (stealing
-//! only happens when a worker runs dry), and long-tailed jobs no longer
-//! serialise behind one hot mutex.
+//! steals from the back of its neighbours', so contention stays on the
+//! cold path and long-tailed jobs do not serialise behind one mutex.
 //!
 //! The pool guarantees two properties the stages rely on:
 //!
@@ -16,16 +11,15 @@
 //! * **panic isolation** — a job that panics (e.g. a buggy app model)
 //!   yields `Err(panic message)` for *that job only*; the worker thread
 //!   and the result slots survive, and every other job still runs.
-//!   Before this existed, one panicking model poisoned the slots mutex
-//!   and took the whole sweep down with an opaque `expect` failure.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Runs `f` over every job on `workers` threads, returning one slot per
-/// job in job order. A panicking job resolves to `Err` with the panic
-/// payload rendered as text.
+/// Runs `f` over every job on `workers` threads (`0` picks
+/// `min(available_parallelism, 16)`), returning one slot per job in job
+/// order. A panicking job resolves to `Err` with the panic payload
+/// rendered as text.
 pub(crate) fn run_jobs<J, R>(
     workers: usize,
     jobs: &[J],
@@ -38,7 +32,8 @@ where
     if jobs.is_empty() {
         return Vec::new();
     }
-    let workers = workers.max(1).min(jobs.len());
+    let auto = || std::thread::available_parallelism().map_or(4, |n| n.get().min(16));
+    let workers = if workers == 0 { auto() } else { workers }.min(jobs.len());
 
     // Round-robin deal: worker w owns jobs w, w+workers, w+2·workers…
     // Every job index appears in exactly one deque and is removed

@@ -199,7 +199,7 @@ pub fn check(db: &Database, docs_dir: &Path) -> Result<Vec<Drift>, DbError> {
     Ok(drift)
 }
 
-fn workload_title(w: Workload) -> &'static str {
+pub(crate) fn workload_title(w: Workload) -> &'static str {
     match w {
         Workload::HealthCheck => "health-check",
         Workload::Benchmark => "benchmark",

@@ -23,17 +23,19 @@
 //!   worked witness examples showing *why* an analyser attributed a
 //!   syscall.
 
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::fmt::Write as _;
 
 use loupe_apps::{AppModel, ProgramGraph, Workload};
 use loupe_core::{fingerprint_of, AppReport};
-use loupe_db::{ns, store, Database, DbError};
+use loupe_db::{store, Database, DbError};
 use loupe_plan::{importance_fractions, os, AppRequirement, SupportPlan};
-use loupe_static::{analyze_graph, api_importance, Level, StaticReport};
+use loupe_static::{analyze_graph, Level, StaticReport};
 use loupe_syscalls::{Sysno, SysnoSet};
 
-use crate::pool;
+use crate::stage::{self, Failed, Outcome, Stage};
 
 /// The outcome of a static sweep.
 #[derive(Debug, Clone)]
@@ -87,60 +89,36 @@ pub fn sweep_static_levels(
     let mut seen = std::collections::BTreeSet::new();
     apps.retain(|app| seen.insert(app.name().to_owned()));
 
-    let jobs: Vec<(usize, Level)> = (0..apps.len())
-        .flat_map(|a| levels.iter().map(move |&l| (a, l)))
-        .collect();
-    let workers = effective_workers(workers, jobs.len());
-
     // The graph — and therefore every level's report — is a pure
     // function of the app's descriptor, so the cache input set is the
-    // (spec, code) fingerprint alone, computed once per app. The
-    // lowered graphs are shared read-only across the per-level jobs.
-    let app_fps: Vec<loupe_core::Fingerprint> = apps
+    // (spec, code) fingerprint alone, computed once per app.
+    let jobs: Vec<stage::Job<(usize, Level)>> = apps
         .iter()
-        .map(|app| fingerprint_of(&(app.spec(), app.code())))
+        .enumerate()
+        .flat_map(|(a, app)| {
+            let app_fp = fingerprint_of(&(app.spec(), app.code()));
+            levels.iter().map(move |&level| stage::Job {
+                key: loupe_db::static_key(level, app.name()),
+                inputs: [("app".to_owned(), app_fp)].into(),
+                item: (a, level),
+            })
+        })
         .collect();
-    // Graphs are lowered on demand: a fully cached sweep (the common
-    // CI re-run) answers every job from the provenance manifest and
-    // never lowers anything.
+    // Graphs are lowered on demand and shared read-only across the
+    // per-level jobs: a fully cached sweep (the common CI re-run)
+    // answers every job from the provenance manifest and never lowers
+    // anything.
     let graphs: Vec<std::sync::OnceLock<ProgramGraph>> = (0..apps.len())
         .map(|_| std::sync::OnceLock::new())
         .collect();
 
-    enum JobOut {
-        Fresh(StaticReport),
-        Cached,
-        Db(DbError),
-    }
-
-    let outcomes = pool::run_jobs(workers, &jobs, |&(app_idx, level)| {
-        let app = apps[app_idx].as_ref();
-        let key = loupe_db::static_key(level, app.name());
-        let mut inputs = std::collections::BTreeMap::new();
-        inputs.insert("app".to_owned(), app_fps[app_idx]);
-        // A current fingerprint answers the job outright: the stored
-        // report is not re-read, let alone re-parsed — witnesses make
-        // L0 artifacts large, and provenance was only recorded after a
-        // successful save.
-        let current = db.is_current(ns::STATIC, &key, &inputs);
-        if current && !force {
-            db.note_hit(ns::STATIC);
-            return JobOut::Cached;
-        }
-        if !current && db.contains(&store::STATIC, &key) {
-            db.note_stale(ns::STATIC);
-        } else {
-            db.note_miss(ns::STATIC);
-        }
-        let graph = graphs[app_idx].get_or_init(|| ProgramGraph::lower(apps[app_idx].as_ref()));
+    let stage = Stage::new(db, &store::STATIC, workers, force);
+    let outcomes = stage.run(&jobs, stage::any, |job, why| {
+        let (a, level) = job.item;
+        let graph = graphs[a].get_or_init(|| ProgramGraph::lower(apps[a].as_ref()));
         let report = analyze_graph(graph, level);
-        match db.put(&store::STATIC, &report) {
-            Ok(()) => {
-                db.record_provenance(ns::STATIC, &key, inputs, Default::default());
-                JobOut::Fresh(report)
-            }
-            Err(e) => JobOut::Db(e),
-        }
+        stage.commit(job, why, &report, BTreeMap::new())?;
+        Ok::<_, Failed<Infallible>>(report)
     });
 
     let mut summary = StaticSweepSummary {
@@ -148,20 +126,17 @@ pub fn sweep_static_levels(
         cached: 0,
         reports: Vec::new(),
     };
-    for (outcome, &(app_idx, level)) in outcomes.into_iter().zip(&jobs) {
+    for (outcome, job) in outcomes.into_iter().zip(&jobs) {
         match outcome {
-            Ok(JobOut::Fresh(r)) => {
+            Ok(Outcome::Hit(())) => summary.cached += 1,
+            Ok(Outcome::Derived(r)) => {
                 summary.analyzed += 1;
                 summary.reports.push(r);
             }
-            Ok(JobOut::Cached) => summary.cached += 1,
-            Ok(JobOut::Db(e)) => return Err(e),
-            Err(panic) => {
-                return Err(DbError::Io(std::io::Error::other(format!(
-                    "static analysis of {} ({}) panicked: {panic}",
-                    apps[app_idx].name(),
-                    level.label()
-                ))))
+            Err(failed) => {
+                let (a, level) = job.item;
+                let what = || format!("static analysis of {} ({})", apps[a].name(), level.label());
+                match failed.into_error(what)? {}
             }
         }
     }
@@ -169,15 +144,6 @@ pub fn sweep_static_levels(
         .reports
         .sort_by(|a, b| (&a.app, a.level).cmp(&(&b.app, b.level)));
     Ok(summary)
-}
-
-fn effective_workers(workers: usize, jobs: usize) -> usize {
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16);
-    let chosen = if workers == 0 { auto } else { workers };
-    chosen.clamp(1, jobs.max(1))
 }
 
 /// Errors from the static-vs-dynamic comparison.
@@ -417,9 +383,15 @@ fn median(sorted: &mut [f64]) -> f64 {
 /// Database failures, an empty dynamic namespace, or a dynamic report
 /// with no static counterpart.
 pub fn compare(db: &Database) -> Result<Vec<Comparison>, CompareError> {
+    // One bulk read of the static namespace serves every workload.
+    let statics: BTreeMap<(String, Level), StaticReport> = db
+        .load_all(&store::STATIC)?
+        .into_iter()
+        .map(|r| ((r.app.clone(), r.level), r))
+        .collect();
     let mut out = Vec::new();
     for (workload, reports) in crate::report::reports_by_workload(db)? {
-        out.push(compare_workload(db, workload, &reports)?);
+        out.push(compare_workload(&statics, workload, &reports)?);
     }
     if out.is_empty() {
         return Err(CompareError::NoDynamicReports);
@@ -428,7 +400,7 @@ pub fn compare(db: &Database) -> Result<Vec<Comparison>, CompareError> {
 }
 
 fn compare_workload(
-    db: &Database,
+    statics: &BTreeMap<(String, Level), StaticReport>,
     workload: Workload,
     reports: &[AppReport],
 ) -> Result<Comparison, CompareError> {
@@ -441,16 +413,16 @@ fn compare_workload(
     let mut witness_examples = Vec::new();
 
     for report in reports {
-        let load = |level: Level| -> Result<StaticReport, CompareError> {
-            db.get(&store::STATIC, &loupe_db::static_key(level, &report.app))?
-                .ok_or_else(|| CompareError::MissingStatic {
-                    app: report.app.clone(),
-                    level,
-                })
-        };
-        let ladder: Vec<StaticReport> = Level::ALL
+        let ladder: Vec<&StaticReport> = Level::ALL
             .iter()
-            .map(|&l| load(l))
+            .map(|&level| {
+                statics.get(&(report.app.clone(), level)).ok_or_else(|| {
+                    CompareError::MissingStatic {
+                        app: report.app.clone(),
+                        level,
+                    }
+                })
+            })
             .collect::<Result<_, _>>()?;
 
         let used = report.traced().union(&report.fallbacks);
@@ -543,7 +515,7 @@ fn compare_workload(
             }
         }
 
-        statics_l0.push(ladder.into_iter().next().unwrap());
+        statics_l0.push(ladder[0]);
     }
 
     let n = apps.len().max(1) as f64;
@@ -559,7 +531,7 @@ fn compare_workload(
     // borrowing each report's set, never cloning it.
     let required_sets: Vec<SysnoSet> = reports.iter().map(AppReport::plan_required).collect();
     let dynamic_importance = importance_fractions(&required_sets);
-    let static_importance = api_importance(&statics_l0);
+    let static_importance = importance_fractions(statics_l0.iter().map(|r| &r.syscalls));
     let rank_shifts = dynamic_importance
         .iter()
         .take(RANK_SHIFT_ROWS)
@@ -628,14 +600,6 @@ fn static_requirement(report: &StaticReport) -> AppRequirement {
     }
 }
 
-fn workload_title(w: Workload) -> &'static str {
-    match w {
-        Workload::HealthCheck => "health-check",
-        Workload::Benchmark => "benchmark",
-        Workload::TestSuite => "test-suite",
-    }
-}
-
 /// Renders `docs/STATIC_VS_DYNAMIC.md` from the comparisons — a pure
 /// function of its input, byte-identical for identical databases, so
 /// the drift check applies to it like every generated page.
@@ -692,7 +656,7 @@ pub fn render_static_comparison(comparisons: &[Comparison]) -> String {
         let _ = writeln!(
             out,
             "## {} workload — {} applications\n",
-            workload_title(c.workload),
+            crate::report::workload_title(c.workload),
             c.apps.len()
         );
         let _ = writeln!(

@@ -108,7 +108,8 @@ fn recorded_outputs(
                 ),
             ] {
                 let fp = db
-                    .recorded_output(namespace, &key)
+                    .record(namespace, &key)
+                    .map(|rec| rec.output)
                     .unwrap_or_else(|| panic!("{namespace}/{key} has no recorded output"));
                 out.insert(format!("{namespace}/{key}"), fp);
             }
@@ -195,6 +196,40 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Cache hits are answered from the manifest alone: with every stored
+/// static report and suite emptied and the binary index gone, a warm
+/// static and gentests sweep still succeed with nothing but hits — a
+/// hit that read its artifact would fail on the empty file.
+#[test]
+fn warm_hits_read_no_artifact() {
+    let dir = tmpdir("manifest-only", 0);
+    let apps = fleet().len();
+    let oses = vec![os::find("kerla").unwrap(), os::find("gvisor").unwrap()];
+    {
+        let db = Database::open(&dir).unwrap();
+        loupe_sweep::sweep_static(&db, fleet(), 2, false).unwrap();
+        let cold = sweep_gentests(&db, fleet(), &cfg(oses.clone(), 2)).unwrap();
+        assert!(cold.is_clean(), "{:?}", cold.disagreements);
+        db.flush().unwrap();
+    }
+    for layout in [&store::STATIC.layout, &store::SUITES.layout] {
+        for key in layout.walk(&dir).unwrap() {
+            std::fs::write(dir.join(layout.path(&key)), b"").unwrap();
+        }
+    }
+    std::fs::remove_dir_all(dir.join(store::INDEX_DIR)).ok();
+
+    let db = Database::open(&dir).unwrap();
+    let statics = loupe_sweep::sweep_static(&db, fleet(), 2, false).unwrap();
+    assert_eq!((statics.analyzed, statics.cached), (0, 4 * apps));
+    let suites = sweep_gentests(&db, fleet(), &cfg(oses, 2)).unwrap();
+    assert_eq!((suites.generated, suites.cached), (0, 2 * apps));
+    assert!(suites.is_clean());
+    let counted = db.session_cache_stats().total();
+    assert_eq!((counted.misses, counted.stale), (0, 0));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The rendered docs are byte-identical across worker counts and
