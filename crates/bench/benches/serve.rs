@@ -1,7 +1,7 @@
 //! Criterion benches for the serve daemon: the cached single-verdict
 //! roundtrip (the sub-millisecond target) and cold startup — with the
-//! binary snapshot index present (memory-mapped, decoded lazily) vs
-//! the JSON-per-file fallback, the before/after of the mmap satellite.
+//! binary snapshot index present (one file read per namespace) vs the
+//! JSON-per-file fallback.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -92,8 +92,8 @@ fn bench_cached_verdict(c: &mut Criterion) {
 }
 
 /// Cold daemon startup: open the database, compile the sharded index,
-/// bind. `snapshot` serves the matrix namespace from the memory-mapped
-/// binary index; `json-fallback` has no index directory and decodes
+/// bind. `snapshot` serves the matrix namespace from the binary index;
+/// `json-fallback` has no index directory and decodes
 /// every per-cell JSON file.
 fn bench_startup(c: &mut Criterion) {
     let dir = tmp_dir("startup");

@@ -28,7 +28,9 @@
 //! * **binary namespace snapshots** ([`snapshot`]) so bulk reads load a
 //!   whole namespace from one compact file instead of re-parsing
 //!   hundreds of JSON entries, rebuilt automatically whenever the
-//!   content-addressed state they were written against changes.
+//!   content-addressed state they were written against changes. Point
+//!   reads never use them: [`Database::get`] reads the artifact's JSON
+//!   file, so a write never costs the next read more than one file.
 //!
 //! Both layers are derived and disposable: deleting `manifest.json` or
 //! `index/` costs one rebuild, never correctness.
@@ -96,8 +98,8 @@ pub enum Derive {
 /// A directory-backed measurement database.
 ///
 /// Cloning is cheap and clones share one in-process state (manifest,
-/// snapshots, writer lock), so a `Database` can be handed to worker
-/// threads freely. Writers are additionally serialised *across
+/// bulk-loaded snapshots, writer lock), so a `Database` can be handed
+/// to worker threads freely. Writers are additionally serialised *across
 /// processes* by an advisory file lock ([`lock`]), so concurrent
 /// read-modify-write saves from two processes can never drop each
 /// other's data. Provenance is still per-process: two independent
@@ -127,27 +129,9 @@ impl fmt::Debug for Database {
 /// The input fingerprints and meta a committed artifact is recorded with.
 type Provenance = (BTreeMap<String, Fingerprint>, BTreeMap<String, String>);
 
-/// In-memory snapshot cache of one namespace, keyed by the manifest
-/// generation it reflects.
-type SnapshotSlot<T> = Mutex<SlotState<T>>;
-
-/// What the process currently knows about one namespace's snapshot.
-/// The states form a ladder — `Empty` → (`Unavailable` | `Mapped`) →
-/// `Decoded` — climbed lazily: a point read maps the disk snapshot and
-/// decodes single values out of it; only a bulk read pays for decoding
-/// the whole namespace. Any generation bump resets the ladder.
-enum SlotState<T> {
-    /// Nothing learned yet.
-    Empty,
-    /// No usable disk snapshot at this generation — point reads go
-    /// straight to the JSON files without re-probing the index.
-    Unavailable(u64),
-    /// Disk snapshot memory-mapped and validated; values decode
-    /// per-key on demand.
-    Mapped(u64, snapshot::MappedSnapshot),
-    /// Whole namespace decoded into memory.
-    Decoded(u64, Arc<BTreeMap<String, T>>),
-}
+/// One namespace decoded into memory by a bulk load, tagged with the
+/// manifest generation it reflects; any later generation makes it stale.
+type SnapshotSlot<T> = Mutex<Option<(u64, Arc<BTreeMap<String, T>>)>>;
 
 /// The snapshot slots of the namespaces that have a binary index (see
 /// [`store::Namespace`]).
@@ -165,7 +149,8 @@ struct Shared {
     /// Single-writer guard: every save composes read-modify-write
     /// (merge / tier composition), so writers must exclude each other.
     /// Extended across processes by the advisory [`lock::FileLock`]
-    /// taken with it (see [`Shared::lock_writers`]).
+    /// taken with it (see [`Shared::lock_writers`]); a bulk load that
+    /// misses its slot holds it alone (see [`Database::bulk`]).
     write_lock: Mutex<()>,
     slots: Slots,
 }
@@ -175,11 +160,6 @@ struct ManifestState {
     /// Monotonic per-namespace counters, bumped whenever a namespace's
     /// content changes — the freshness signal for in-memory snapshots.
     generations: BTreeMap<String, u64>,
-    /// Memoised [`Shared::namespace_state`] per namespace, valid for
-    /// the generation it was computed at. Point reads consult the
-    /// state on every snapshot probe; without the memo each probe
-    /// would re-hash the whole record table.
-    state_memo: BTreeMap<String, (u64, Fingerprint)>,
     dirty: bool,
 }
 
@@ -221,15 +201,12 @@ impl Shared {
     /// Content-addressed state of a namespace: the fingerprint of every
     /// `(key, output-fingerprint)` pair. This is what binary snapshots
     /// are tagged with, making their staleness check survive process
-    /// boundaries.
+    /// boundaries. O(namespace), so only a bulk load that misses its
+    /// in-memory slot computes it.
     fn namespace_state(&self, namespace: &str) -> Fingerprint {
+        #[cfg(test)]
+        tests::STATE_COMPUTATIONS.with(|n| n.set(n.get() + 1));
         self.with_manifest(|s| {
-            let generation = s.generations.get(namespace).copied().unwrap_or(0);
-            if let Some((g, fp)) = s.state_memo.get(namespace) {
-                if *g == generation {
-                    return *fp;
-                }
-            }
             let pairs: Vec<(String, String)> = s
                 .manifest
                 .records
@@ -241,9 +218,7 @@ impl Shared {
                         .collect()
                 })
                 .unwrap_or_default();
-            let fp = fingerprint_of(&pairs);
-            s.state_memo.insert(namespace.to_owned(), (generation, fp));
-            fp
+            fingerprint_of(&pairs)
         })
     }
 
@@ -444,7 +419,7 @@ fn to_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<String, DbErro
 /// matches), which is then renamed over the target. A reader, or the
 /// next run after a `kill -9`, sees the old file or the new one, never
 /// a torn one; temp names are unique per process and call, so writers
-/// that do not hold the writer lock (snapshot rebuilds) cannot collide.
+/// that skip the file lock (snapshot rebuilds) cannot collide.
 /// There is no fsync: a killed process leaves the page cache intact,
 /// and power loss is out of scope (see KNOWN_ISSUES).
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -480,16 +455,15 @@ impl Database {
                 manifest: Mutex::new(ManifestState {
                     manifest,
                     generations: BTreeMap::new(),
-                    state_memo: BTreeMap::new(),
                     dirty: false,
                 }),
                 stats: Mutex::new(CacheStats::default()),
                 write_lock: Mutex::new(()),
                 slots: Slots {
-                    baselines: Mutex::new(SlotState::Empty),
-                    matrix: Mutex::new(SlotState::Empty),
-                    suites: Mutex::new(SlotState::Empty),
-                    statics: Mutex::new(SlotState::Empty),
+                    baselines: Mutex::new(None),
+                    matrix: Mutex::new(None),
+                    suites: Mutex::new(None),
+                    statics: Mutex::new(None),
                 },
             }),
         })
@@ -550,19 +524,16 @@ impl Database {
         Ok(())
     }
 
-    /// Loads the artifact stored in `ns` under `key`, if any: from the
-    /// namespace's snapshot when one is fresh and holds the key, else
-    /// from its JSON file.
+    /// Loads the artifact stored in `ns` under `key`, if any, from its
+    /// JSON file — never from a snapshot, so out-of-band edits are seen
+    /// at once and a read after a write costs one file, not a namespace.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
     pub fn get<T: Artifact>(&self, ns: &Namespace<T>, key: &str) -> Result<Option<T>, DbError> {
-        let hit = match self.cached_entry(ns, key) {
-            Some(hit) => Some(hit),
-            None => read_json(&self.shared.root.join(ns.layout.path(key)))?,
-        };
-        Ok(hit.filter(ns.accept))
+        let stored = read_json(&self.shared.root.join(ns.layout.path(key)))?;
+        Ok(stored.filter(ns.accept))
     }
 
     /// Whether a file is stored in `ns` under `key` (cheap: a file
@@ -593,105 +564,66 @@ impl Database {
         Ok(entries.into_iter().map(|(_, v)| v.clone()).collect())
     }
 
-    /// On-disk binary index of one namespace.
-    fn index_path(&self, namespace: &str) -> PathBuf {
-        self.shared
-            .root
-            .join(store::INDEX_DIR)
-            .join(format!("{namespace}.bin"))
-    }
-
-    /// Serves one entry from a namespace's snapshot if one is fresh
-    /// and holds the key. The first point read at a generation lazily
-    /// *maps* the disk snapshot (no value decode) and subsequent reads
-    /// decode single values out of the mapping; a full decode only
-    /// happens on bulk loads. Anything else (no snapshot, stale, key
-    /// absent, malformed value) falls back to the JSON file — files
-    /// written out-of-band stay visible.
-    fn cached_entry<T: Artifact>(&self, ns: &Namespace<T>, key: &str) -> Option<T> {
-        let slot = (ns.slot?)(&self.shared.slots);
-        let namespace = ns.layout.name;
-        let mut guard = slot.lock().expect("snapshot lock");
-        let generation = self.shared.generation(namespace);
-        match &*guard {
-            SlotState::Decoded(g, map) if *g == generation => return map.get(key).cloned(),
-            SlotState::Mapped(g, snap) if *g == generation => {
-                return snap.get(key).and_then(|v| T::from_value(&v).ok());
-            }
-            SlotState::Unavailable(g) if *g == generation => return None,
-            _ => {}
-        }
-        let expected = self.shared.namespace_state(namespace);
-        match snapshot::MappedSnapshot::open(&self.index_path(namespace), expected) {
-            Some(snap) => {
-                let hit = snap.get(key).and_then(|v| T::from_value(&v).ok());
-                *guard = SlotState::Mapped(generation, snap);
-                hit
-            }
-            None => {
-                *guard = SlotState::Unavailable(generation);
-                None
-            }
-        }
-    }
-
     /// The one bulk loader: a whole namespace from the in-memory
     /// snapshot if fresh, else the binary disk snapshot if its
     /// content-addressed state matches, else a rebuild from the JSON
     /// tree (which also backfills the manifest and rewrites the disk
     /// snapshot). Namespaces without a snapshot always rebuild.
+    ///
+    /// A miss runs under the in-process writer mutex: the state hash,
+    /// the walk, [`Shared::adopt_outputs`] (which drops the records of
+    /// files the walk did not see) and the generation the slot is tagged
+    /// with must all see the same namespace, or a concurrent save would
+    /// lose its record. The file lock is not taken, so a database whose
+    /// lock file cannot be created still reads. Lock order: slot, writer
+    /// mutex, manifest.
     fn bulk<T: Artifact>(&self, ns: &Namespace<T>) -> Result<Arc<BTreeMap<String, T>>, DbError> {
         let namespace = ns.layout.name;
-        let rebuild = || -> Result<BTreeMap<String, T>, DbError> {
-            let mut entries = Vec::new();
-            for key in self.keys(ns)? {
-                if let Some(value) = read_json(&self.shared.root.join(ns.layout.path(&key)))? {
-                    entries.push((key, value));
-                }
-            }
-            self.shared.adopt_outputs(namespace, &entries);
-            Ok(entries.into_iter().collect())
-        };
-        let Some(slot) = ns.slot else {
-            return rebuild().map(Arc::new);
-        };
-        let mut guard = slot(&self.shared.slots).lock().expect("snapshot lock");
-        let generation = self.shared.generation(namespace);
-        if let SlotState::Decoded(g, map) = &*guard {
-            if *g == generation {
+        let mut slot = ns
+            .slot
+            .map(|slot| slot(&self.shared.slots).lock().expect("snapshot lock"));
+        if let Some(Some((g, map))) = slot.as_deref() {
+            if *g == self.shared.generation(namespace) {
                 return Ok(Arc::clone(map));
             }
         }
-        let path = self.index_path(namespace);
-        let expected = self.shared.namespace_state(namespace);
-        // Reuse a fresh mapping installed by an earlier point read;
-        // otherwise map the disk snapshot now.
-        let snap = match std::mem::replace(&mut *guard, SlotState::Empty) {
-            SlotState::Mapped(g, snap) if g == generation => Some(snap),
-            _ => snapshot::MappedSnapshot::open(&path, expected),
-        };
-        let decoded = snap.and_then(|snap| snap.decode_all()).and_then(|entries| {
+        let _writers = self.shared.write_lock.lock().expect("writer lock");
+        let indexed = slot.is_some();
+        let root = &self.shared.root;
+        let path = root.join(store::INDEX_DIR).join(format!("{namespace}.bin"));
+        let decoded = indexed.then(|| {
+            let entries = snapshot::read(&path, self.shared.namespace_state(namespace))?;
             entries
                 .into_iter()
                 .map(|(key, value)| T::from_value(&value).ok().map(|t| (key, t)))
                 // Undecodable snapshot (schema drift): rebuild.
                 .collect::<Option<BTreeMap<_, _>>>()
         });
-        let map = match decoded {
+        let map = match decoded.flatten() {
             Some(map) => map,
             None => {
-                let map = rebuild()?;
-                let state = self.shared.namespace_state(namespace);
-                let encoded = map.iter().map(|(k, v)| (k.as_str(), v.to_value()));
-                // Best-effort: a failed snapshot write only costs the
-                // next rebuild.
-                let _ = snapshot::write(&path, state, encoded);
+                let mut entries = Vec::new();
+                for key in self.keys(ns)? {
+                    if let Some(value) = read_json(&root.join(ns.layout.path(&key)))? {
+                        entries.push((key, value));
+                    }
+                }
+                self.shared.adopt_outputs(namespace, &entries);
+                let map: BTreeMap<String, T> = entries.into_iter().collect();
+                if indexed {
+                    let state = self.shared.namespace_state(namespace);
+                    let encoded = map.iter().map(|(k, v)| (k.as_str(), v.to_value()));
+                    // Best-effort: a failed snapshot write only costs the
+                    // next rebuild.
+                    let _ = snapshot::write(&path, state, encoded);
+                }
                 map
             }
         };
-        let generation = self.shared.generation(namespace);
         let map = Arc::new(map);
-        *guard = SlotState::Decoded(generation, Arc::clone(&map));
+        if let Some(slot) = slot.as_deref_mut() {
+            *slot = Some((self.shared.generation(namespace), Arc::clone(&map)));
+        }
         Ok(map)
     }
 
@@ -1086,7 +1018,13 @@ mod tests {
     use loupe_core::{AnalysisConfig, Engine, ImpactRecord};
     use loupe_plan::{PlanValidation, TierOutcome};
     use loupe_static::{GraphAnalyzer, StaticAnalyzer};
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// How often this thread computed a [`Shared::namespace_state`].
+        pub(super) static STATE_COMPUTATIONS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("loupedb-test-{tag}-{}", std::process::id()));
@@ -1717,51 +1655,74 @@ mod tests {
     }
 
     #[test]
-    fn point_reads_decode_lazily_from_the_mapped_index() {
-        let dir = tmpdir("lazypoint");
+    fn point_reads_see_out_of_band_edits_while_bulk_reads_serve_the_snapshot() {
+        let dir = tmpdir("pointjson");
         let db = Database::open(&dir).unwrap();
+        let mut cells = Vec::new();
         for app in ["alpha", "beta"] {
-            db.put(
-                &store::MATRIX,
-                &MatrixCell {
-                    vanilla: tier(true),
-                    ..cell("kerla", app, Workload::HealthCheck)
-                },
-            )
-            .unwrap();
+            let cell = MatrixCell {
+                vanilla: tier(true),
+                ..cell("kerla", app, Workload::HealthCheck)
+            };
+            db.put(&store::MATRIX, &cell).unwrap();
+            cells.push(cell);
         }
         db.load_all(&store::MATRIX).unwrap(); // materialise the binary index
+        assert!(dir.join("index").join("matrix.bin").is_file());
         drop(db);
 
-        // Remove one JSON entry out-of-band WITHOUT touching the
-        // manifest: the index still matches the recorded state, so a
-        // fresh process's *point* read must be served from the mapped
-        // snapshot — no bulk decode, no JSON file needed.
-        fs::remove_file(
+        // Delete one cell's JSON and edit another's, WITHOUT touching
+        // the manifest: the index still matches the recorded state.
+        let json = |app: &str| {
             dir.join("env")
                 .join("kerla")
                 .join("matrix")
-                .join("alpha")
-                .join("health.json"),
-        )
-        .unwrap();
+                .join(app)
+                .join("health.json")
+        };
+        fs::remove_file(json("alpha")).unwrap();
+        let mut edited = cells[1].clone();
+        edited.linux_pass = false;
+        fs::write(json("beta"), serde_json::to_string_pretty(&edited).unwrap()).unwrap();
+
+        // A fresh handle's point reads see the files as they are now…
         let db = Database::open(&dir).unwrap();
-        let cell = db
-            .get(
+        let get = |app: &str| {
+            db.get(
                 &store::MATRIX,
-                &matrix_key("kerla", "alpha", Workload::HealthCheck),
+                &matrix_key("kerla", app, Workload::HealthCheck),
             )
             .unwrap()
-            .expect("point read served from the mapped index");
-        assert_eq!(cell.app, "alpha");
-        // A key the index does not hold falls back to JSON (absent).
-        assert!(db
-            .get(
-                &store::MATRIX,
-                &matrix_key("kerla", "gamma", Workload::HealthCheck)
-            )
-            .unwrap()
-            .is_none());
+        };
+        assert_eq!(get("alpha"), None, "a deleted file is gone for point reads");
+        assert_eq!(get("beta"), Some(edited), "an edit is seen at once");
+        // …while the bulk read keeps serving the snapshot (the documented
+        // limitation; deleting `index/` is the remedy).
+        assert_eq!(db.load_all(&store::MATRIX).unwrap(), cells);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn interleaved_gets_and_puts_never_hash_the_namespace() {
+        // Counts operations, not time: a read after a write must not
+        // cost O(namespace), so N get/put pairs compute the namespace
+        // state zero times, and one bulk load afterwards at most twice
+        // (probe the disk snapshot, then tag the rewritten one).
+        let dir = tmpdir("writepath");
+        let db = Database::open(&dir).unwrap();
+        STATE_COMPUTATIONS.with(|n| n.set(0));
+        for i in 0..500 {
+            let cell = MatrixCell {
+                vanilla: tier(i % 2 == 0),
+                ..cell("kerla", &format!("app-{i:03}"), Workload::HealthCheck)
+            };
+            let key = matrix_key("kerla", &cell.app, Workload::HealthCheck);
+            assert!(db.get(&store::MATRIX, &key).unwrap().is_none());
+            db.put(&store::MATRIX, &cell).unwrap();
+        }
+        assert_eq!(STATE_COMPUTATIONS.with(Cell::get), 0);
+        assert_eq!(db.load_all(&store::MATRIX).unwrap().len(), 500);
+        assert!(STATE_COMPUTATIONS.with(Cell::get) <= 2);
         fs::remove_dir_all(&dir).ok();
     }
 

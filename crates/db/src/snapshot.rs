@@ -1,10 +1,11 @@
-//! Compact binary namespace snapshots — the warm sweep's hot read path.
+//! Compact binary namespace snapshots — the bulk read path.
 //!
 //! JSON stays the interchange format and the on-disk source of truth; a
 //! snapshot is a *derived*, versioned cache of one whole namespace
-//! (`<root>/index/<ns>.bin`) so a warm sweep can bulk-load hundreds of
-//! artifacts with one read and zero JSON parsing, and a serve daemon
-//! can memory-map the file and decode only the entries it is asked for.
+//! (`<root>/index/<ns>.bin`) so a bulk load (`report`, `compare`,
+//! `loupe serve`) can read hundreds of artifacts with one file read and
+//! zero JSON parsing. Point reads never consult it: they read the
+//! artifact's own JSON file.
 //!
 //! Staleness is content-addressed: the file header carries the
 //! fingerprint of the namespace state (every `(key, output-fingerprint)`
@@ -24,23 +25,15 @@
 //! entry*  key-len, key-utf8, value-len, value-bytes
 //! ```
 //!
-//! The value-length prefix (new in format v2) is what makes lazy reads
-//! possible: [`MappedSnapshot::open`] builds a key → byte-range table
-//! by *skipping* over values, so opening a snapshot touches only keys
-//! and decodes nothing until [`MappedSnapshot::get`] is called.
+//! The value-length prefix (new in format v2) validates each entry: a
+//! value must decode to exactly its recorded length, or the whole
+//! snapshot is rejected.
 //!
 //! Values use a tagged encoding of the serde [`Value`] tree: 0 null,
 //! 1 false, 2 true, 3 u64 varint, 4 i64 zigzag varint, 5 f64 bits,
 //! 6 string, 7 sequence, 8 map.
-//!
-//! Mapping safety: snapshot files are only ever replaced via temp-file
-//! rename (a fresh inode), never truncated or rewritten in place, so a
-//! live mapping can never observe partial bytes or fault on a shrunk
-//! file.
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::ops::Range;
 use std::path::Path;
 
 use loupe_core::Fingerprint;
@@ -48,7 +41,7 @@ use serde::Value;
 
 /// Binary snapshot format version. Bump on any layout change; readers
 /// of other versions treat the file as stale. v2 added the value-length
-/// prefix enabling memory-mapped lazy decode.
+/// prefix.
 pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"LOUPEBIN";
@@ -155,7 +148,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Option<Value> {
         }
         TAG_STR => {
             let len = get_varint(buf, pos)? as usize;
-            let bytes = buf.get(*pos..*pos + len)?;
+            let bytes = buf.get(*pos..pos.checked_add(len)?)?;
             *pos += len;
             Value::Str(String::from_utf8(bytes.to_vec()).ok()?)
         }
@@ -181,189 +174,38 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Option<Value> {
     })
 }
 
-/// A read-only byte buffer backing a snapshot: the file memory-mapped
-/// where the platform allows it, a heap copy otherwise. Either way the
-/// bytes are immutable for the buffer's lifetime (snapshot files are
-/// replaced by rename, never mutated in place).
-pub struct Mapped {
-    repr: MappedRepr,
-}
-
-enum MappedRepr {
-    #[cfg(target_os = "linux")]
-    Mmap {
-        ptr: *mut libc::c_void,
-        len: usize,
-    },
-    Heap(Vec<u8>),
-}
-
-// SAFETY: the mapping is PROT_READ/MAP_PRIVATE over an inode that is
-// never modified in place — immutable shared bytes, like a `&[u8]`.
-unsafe impl Send for Mapped {}
-unsafe impl Sync for Mapped {}
-
-impl Mapped {
-    /// Maps (or, failing that, reads) `path`. `None` only if the file
-    /// cannot be read at all.
-    fn open(path: &Path) -> Option<Mapped> {
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::unix::io::AsRawFd;
-            if let Ok(file) = fs::File::open(path) {
-                let len = file.metadata().ok()?.len() as usize;
-                if len > 0 {
-                    // SAFETY: fresh descriptor, in-bounds length; the
-                    // result is checked against MAP_FAILED.
-                    let ptr = unsafe {
-                        libc::mmap(
-                            std::ptr::null_mut(),
-                            len,
-                            libc::PROT_READ,
-                            libc::MAP_PRIVATE,
-                            file.as_raw_fd(),
-                            0,
-                        )
-                    };
-                    if ptr != libc::MAP_FAILED {
-                        return Some(Mapped {
-                            repr: MappedRepr::Mmap { ptr, len },
-                        });
-                    }
-                }
-            }
-        }
-        fs::read(path).ok().map(|bytes| Mapped {
-            repr: MappedRepr::Heap(bytes),
-        })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match &self.repr {
-            #[cfg(target_os = "linux")]
-            // SAFETY: ptr/len come from a successful mmap that lives
-            // until drop.
-            MappedRepr::Mmap { ptr, len } => unsafe {
-                std::slice::from_raw_parts((*ptr).cast::<u8>(), *len)
-            },
-            MappedRepr::Heap(bytes) => bytes,
-        }
-    }
-}
-
-impl Drop for Mapped {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let MappedRepr::Mmap { ptr, len } = self.repr {
-            // SAFETY: unmapping exactly what mmap returned.
-            unsafe { libc::munmap(ptr, len) };
-        }
-    }
-}
-
-impl std::fmt::Debug for Mapped {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self.repr {
-            #[cfg(target_os = "linux")]
-            MappedRepr::Mmap { .. } => "mmap",
-            MappedRepr::Heap(_) => "heap",
-        };
-        write!(f, "Mapped({kind}, {} bytes)", self.bytes().len())
-    }
-}
-
-/// A validated snapshot whose values have *not* been decoded: opening
-/// one costs a header check plus a key scan (values are skipped via
-/// their length prefix), and each [`get`](MappedSnapshot::get) decodes
-/// exactly one value out of the mapped bytes.
-#[derive(Debug)]
-pub struct MappedSnapshot {
-    buf: Mapped,
-    /// Key → byte range of the (still encoded) value.
-    index: BTreeMap<String, Range<usize>>,
-}
-
-impl MappedSnapshot {
-    /// Opens `path`, returning a lazily decodable view only if the
-    /// header matches `expected_state` (and the current format version)
-    /// and the entry table is structurally sound.
-    pub fn open(path: &Path, expected_state: Fingerprint) -> Option<MappedSnapshot> {
-        let mapped = Mapped::open(path)?;
-        let buf = mapped.bytes();
-        if buf.len() < 8 + 4 + 16 + 8 || &buf[..8] != MAGIC {
-            return None;
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().ok()?);
-        if version != FORMAT_VERSION {
-            return None;
-        }
-        let state = u128::from_le_bytes(buf[12..28].try_into().ok()?);
-        if Fingerprint::from_u128(state) != expected_state {
-            return None;
-        }
-        let count = u64::from_le_bytes(buf[28..36].try_into().ok()?) as usize;
-        let mut pos = 36;
-        let mut index = BTreeMap::new();
-        for _ in 0..count {
-            let key_len = get_varint(buf, &mut pos)? as usize;
-            let key_bytes = buf.get(pos..pos + key_len)?;
-            pos += key_len;
-            let key = String::from_utf8(key_bytes.to_vec()).ok()?;
-            let value_len = get_varint(buf, &mut pos)? as usize;
-            buf.get(pos..pos + value_len)?; // bounds check only
-            index.insert(key, pos..pos + value_len);
-            pos += value_len;
-        }
-        if pos != buf.len() {
-            return None; // trailing garbage: treat as corrupt
-        }
-        Some(MappedSnapshot { buf: mapped, index })
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Is the snapshot empty?
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The stored keys, in sorted order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.index.keys().map(String::as_str)
-    }
-
-    /// Decodes the value stored under `key`, if any. `None` for both
-    /// an absent key and a malformed value (callers fall back to the
-    /// JSON tree either way).
-    pub fn get(&self, key: &str) -> Option<Value> {
-        self.decode_range(self.index.get(key)?)
-    }
-
-    fn decode_range(&self, range: &Range<usize>) -> Option<Value> {
-        let bytes = &self.buf.bytes()[range.clone()];
-        let mut pos = 0;
-        let value = decode_value(bytes, &mut pos)?;
-        (pos == bytes.len()).then_some(value)
-    }
-
-    /// Decodes every entry, in key order. `None` if any value is
-    /// malformed — all-or-nothing, matching the eager reader's
-    /// contract.
-    pub fn decode_all(&self) -> Option<Vec<(String, Value)>> {
-        self.index
-            .iter()
-            .map(|(key, range)| Some((key.clone(), self.decode_range(range)?)))
-            .collect()
-    }
-}
-
-/// Reads a snapshot eagerly, returning its entries only if it matches
-/// `expected_state` (and the current format version) exactly.
+/// Reads a snapshot, returning its entries only if it matches
+/// `expected_state` (and the current format version) exactly and every
+/// entry decodes to exactly its recorded value length. `None` on
+/// anything else — the caller rebuilds from the JSON tree.
 pub fn read(path: &Path, expected_state: Fingerprint) -> Option<Vec<(String, Value)>> {
-    MappedSnapshot::open(path, expected_state)?.decode_all()
+    let buf = fs::read(path).ok()?;
+    if buf.len() < 8 + 4 + 16 + 8 || &buf[..8] != MAGIC {
+        return None;
+    }
+    let version = u32::from_le_bytes(buf[8..12].try_into().ok()?);
+    let state = u128::from_le_bytes(buf[12..28].try_into().ok()?);
+    if version != FORMAT_VERSION || Fingerprint::from_u128(state) != expected_state {
+        return None;
+    }
+    let count = u64::from_le_bytes(buf[28..36].try_into().ok()?);
+    let mut pos = 36;
+    // No capacity from `count`: a hostile header must not size an
+    // allocation.
+    let mut entries = Vec::new();
+    for _ in 0..count {
+        let key_len = get_varint(&buf, &mut pos)? as usize;
+        let key = std::str::from_utf8(buf.get(pos..pos.checked_add(key_len)?)?).ok()?;
+        pos += key_len;
+        let value_len = get_varint(&buf, &mut pos)? as usize;
+        let end = pos.checked_add(value_len)?;
+        let value = decode_value(buf.get(..end)?, &mut pos)?;
+        if pos != end {
+            return None; // the value disagrees with its length prefix
+        }
+        entries.push((key.to_owned(), value));
+    }
+    (pos == buf.len()).then_some(entries) // trailing garbage: corrupt
 }
 
 /// Writes a snapshot for `entries` tagged with `state`, atomically
@@ -432,6 +274,9 @@ mod tests {
             assert_eq!(decode_value(&buf, &mut pos), Some(Value::I64(n)));
         }
 
+        let mut hostile = vec![TAG_STR]; // a length that overflows the offset
+        put_varint(u64::MAX, &mut hostile);
+        assert_eq!(decode_value(&hostile, &mut 0), None);
         // Truncation never panics, just returns None.
         let mut full = Vec::new();
         encode_value(&sample(), &mut full);
@@ -460,45 +305,34 @@ mod tests {
         assert_eq!(read(&dir.join("missing.bin"), state), None);
 
         // Corrupt tail → rejected wholesale.
-        let mut bytes = std::fs::read(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let mut bytes = good.clone();
         bytes.push(0xff);
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read(&path, state), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
-    #[test]
-    fn mapped_snapshot_decodes_lazily_per_key() {
-        let dir = std::env::temp_dir().join(format!("loupe-mmap-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("index").join("matrix.bin");
-        let state = fingerprint_of(&"mmap-state");
-        let entries: Vec<(String, Value)> = (0..8)
-            .map(|i| (format!("os/app-{i}/health"), sample()))
-            .collect();
-        write(&path, state, entries.iter().map(|(k, v)| (k.as_str(), v))).unwrap();
-
-        let snap = MappedSnapshot::open(&path, state).expect("snapshot opens");
-        assert_eq!(snap.len(), 8);
-        assert_eq!(
-            snap.keys().collect::<Vec<_>>(),
-            entries.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>()
-        );
-        // Point decode out of the mapped bytes.
-        assert_eq!(snap.get("os/app-3/health"), Some(sample()));
-        assert_eq!(snap.get("os/app-99/health"), None);
-        // Wholesale decode matches the eager reader.
-        assert_eq!(snap.decode_all(), Some(entries));
-
-        // Stale state / corrupt header are rejected at open time.
-        assert!(MappedSnapshot::open(&path, fingerprint_of(&"other")).is_none());
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes()); // format v1
+        // A v1 header (no value-length prefix) reads as stale.
+        let mut bytes = good.clone();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(
-            MappedSnapshot::open(&path, state).is_none(),
-            "pre-v2 snapshots (no value-length prefix) read as stale"
-        );
+        assert_eq!(read(&path, state), None, "pre-v2 snapshots read as stale");
+
+        // Hostile headers are rejected without a panic: a value-length
+        // prefix that disagrees with the encoded value, one byte short
+        // or one byte long…
+        let len_at = 36 + 1 + "kerla/redis/health".len(); // header, key length, key
+        for delta in [-1i64, 1] {
+            let mut bytes = good.clone();
+            bytes[len_at] = (i64::from(bytes[len_at]) + delta) as u8;
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(read(&path, state), None, "value length off by {delta}");
+        }
+        // …and an entry count of u64::MAX with no entries behind it,
+        // which must not size an allocation.
+        let mut bytes = good[..36].to_vec();
+        bytes[28..36].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read(&path, state), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,8 +18,7 @@
 //! * **Plan table + inverted syscall index** — derived from the
 //!   *baselines* namespace, which plan/apps queries alone need; built
 //!   lazily on first touch so a daemon serving only verdicts never
-//!   decodes a baseline (the database below additionally decodes its
-//!   mapped snapshots per-entry on demand).
+//!   decodes a baseline.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};

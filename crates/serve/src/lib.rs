@@ -8,8 +8,8 @@
 //! answer only by loading and re-aggregating namespaces. The daemon
 //! does that work once per database generation:
 //!
-//! * startup loads the database (binary snapshots mapped, decoded
-//!   lazily) and compiles the matrix namespace into [`index::SHARDS`]
+//! * startup bulk-loads the database (one binary snapshot read per
+//!   namespace) and compiles the matrix namespace into [`index::SHARDS`]
 //!   hash shards of precomputed per-tier verdicts plus the
 //!   `OS_MATRIX.md` aggregation — reads after that touch no disk;
 //! * plan and inverted-syscall queries build their (baselines-backed)
