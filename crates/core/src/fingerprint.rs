@@ -30,7 +30,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Scalar, Serialize, Source, Value};
 
 /// A 128-bit content fingerprint (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -96,15 +96,12 @@ impl Serialize for Fingerprint {
 }
 
 impl Deserialize for Fingerprint {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => {
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, Error> {
+        match src.scalar()? {
+            Scalar::Str(s) => {
                 Fingerprint::from_hex(s).ok_or_else(|| Error::custom("malformed fingerprint"))
             }
-            other => Err(Error::custom(format!(
-                "expected fingerprint string, got {}",
-                other.kind()
-            ))),
+            other => Err(Error::expected("fingerprint string", other.kind())),
         }
     }
 }
@@ -263,7 +260,7 @@ mod tests {
         map.insert("beta".into(), vec![]);
         let direct = fingerprint_of(&map);
         let json = serde_json::to_string(&map).unwrap();
-        let reparsed = serde_json::parse(&json).unwrap();
+        let reparsed: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(direct, fingerprint_value(&reparsed));
 
         // Numeric map keys render as JSON strings; the canonicalisation
@@ -272,13 +269,13 @@ mod tests {
         numeric.insert(7, "seven".into());
         let direct = fingerprint_of(&numeric);
         let json = serde_json::to_string(&numeric).unwrap();
-        let reparsed = serde_json::parse(&json).unwrap();
+        let reparsed: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(direct, fingerprint_value(&reparsed));
 
         // Floats keep their ".0" through JSON, staying distinct from ints.
         let f = fingerprint_of(&vec![1.0f64]);
         let json = serde_json::to_string(&vec![1.0f64]).unwrap();
-        let reparsed = serde_json::parse(&json).unwrap();
+        let reparsed: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(f, fingerprint_value(&reparsed));
         assert_ne!(f, fingerprint_of(&vec![1u64]));
     }

@@ -591,16 +591,12 @@ impl Database {
         let indexed = slot.is_some();
         let root = &self.shared.root;
         let path = root.join(store::INDEX_DIR).join(format!("{namespace}.bin"));
-        let decoded = indexed.then(|| {
-            let entries = snapshot::read(&path, self.shared.namespace_state(namespace))?;
-            entries
-                .into_iter()
-                .map(|(key, value)| T::from_value(&value).ok().map(|t| (key, t)))
-                // Undecodable snapshot (schema drift): rebuild.
-                .collect::<Option<BTreeMap<_, _>>>()
-        });
-        let map = match decoded.flatten() {
-            Some(map) => map,
+        // An undecodable entry (schema drift) reads as `None`: rebuild.
+        let decoded = indexed
+            .then(|| snapshot::read(&path, self.shared.namespace_state(namespace)))
+            .flatten();
+        let map = match decoded {
+            Some(entries) => entries.into_iter().collect(),
             None => {
                 let mut entries = Vec::new();
                 for key in self.keys(ns)? {
@@ -2000,6 +1996,74 @@ mod tests {
                 let _ = read_back(&Database::open(&dir).unwrap(), namespace, key);
             }
             fs::write(&path, bytes).unwrap();
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Fingerprint of everything `load_all` serves from `namespace`.
+    fn served(db: &Database, namespace: &str) -> Fingerprint {
+        fn all<T: Artifact>(db: &Database, ns: &Namespace<T>) -> Fingerprint {
+            fingerprint_of(&db.load_all(ns).unwrap())
+        }
+        match namespace {
+            ns::BASELINES => all(db, &store::BASELINES),
+            ns::ENV => all(db, &store::ENV),
+            ns::MATRIX => all(db, &store::MATRIX),
+            ns::PLANS => all(db, &store::PLANS),
+            ns::STATIC => all(db, &store::STATIC),
+            ns::SUITES => all(db, &store::SUITES),
+            other => panic!("unknown namespace {other}"),
+        }
+    }
+
+    #[test]
+    fn damaged_manifest_and_snapshots_fall_back_never_panic() {
+        let dir = tmpdir("damaged-derived");
+        let db = Database::open(&dir).unwrap();
+        one_of_each(&db);
+        // Bulk loads write `index/<ns>.bin`; dropping the handle writes
+        // the manifest.
+        let expected: Vec<Fingerprint> = ns::ALL.iter().map(|n| served(&db, n)).collect();
+        drop(db);
+        let mut files = vec![dir.join("manifest.json")];
+        let mut index: Vec<PathBuf> = fs::read_dir(dir.join("index"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        index.sort();
+        assert_eq!(index.len(), 4, "every snapshotted namespace has its file");
+        files.extend(index);
+        let originals: Vec<Vec<u8>> = files.iter().map(|f| fs::read(f).unwrap()).collect();
+
+        for (path, good) in files.iter().zip(&originals) {
+            let truncations = (0..32).map(|i| (true, good[..i * good.len() / 32].to_vec()));
+            let flips = (0..32).map(|i| {
+                let mut bytes = good.clone();
+                bytes[i * good.len() / 32] ^= if i % 4 == 0 { 0x80 } else { 0x01 };
+                (false, bytes)
+            });
+            for (truncated, bytes) in truncations.chain(flips) {
+                for (file, original) in files.iter().zip(&originals) {
+                    fs::write(file, original).unwrap();
+                }
+                fs::write(path, &bytes).unwrap();
+                let db = Database::open(&dir).unwrap();
+                let got: Vec<Fingerprint> = ns::ALL.iter().map(|n| served(&db, n)).collect();
+                // A damaged manifest reads as empty or as other state, so
+                // every snapshot is stale and rebuilds from the JSON; a
+                // truncated snapshot is rejected and rebuilt. A flipped
+                // snapshot byte may still decode (the format has no
+                // checksum), but never panics.
+                if truncated || path.ends_with("manifest.json") {
+                    assert_eq!(
+                        got,
+                        expected,
+                        "{} damaged to {} bytes",
+                        path.display(),
+                        bytes.len()
+                    );
+                }
+            }
         }
         fs::remove_dir_all(&dir).ok();
     }

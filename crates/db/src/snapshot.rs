@@ -29,15 +29,17 @@
 //! value must decode to exactly its recorded length, or the whole
 //! snapshot is rejected.
 //!
-//! Values use a tagged encoding of the serde [`Value`] tree: 0 null,
-//! 1 false, 2 true, 3 u64 varint, 4 i64 zigzag varint, 5 f64 bits,
-//! 6 string, 7 sequence, 8 map.
+//! Values are written as a tagged encoding of the serde [`Value`] tree:
+//! 0 null, 1 false, 2 true, 3 u64 varint, 4 i64 zigzag varint, 5 f64
+//! bits, 6 string, 7 sequence, 8 map. Reading builds no tree: the bytes
+//! are a [`Source`] that each artifact type decodes itself from, and
+//! nesting past [`serde::MAX_DEPTH`] is a decode error.
 
 use std::fs;
 use std::path::Path;
 
 use loupe_core::Fingerprint;
-use serde::Value;
+use serde::{Deserialize, Error, Kind, Scalar, Source, Value};
 
 /// Binary snapshot format version. Bump on any layout change; readers
 /// of other versions treat the file as stale. v2 added the value-length
@@ -130,55 +132,124 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one tagged value at `pos`, advancing it. `None` on any
-/// malformation (the caller falls back to the JSON tree).
-pub fn decode_value(buf: &[u8], pos: &mut usize) -> Option<Value> {
-    let tag = *buf.get(*pos)?;
-    *pos += 1;
-    Some(match tag {
-        TAG_NULL => Value::Null,
-        TAG_FALSE => Value::Bool(false),
-        TAG_TRUE => Value::Bool(true),
-        TAG_U64 => Value::U64(get_varint(buf, pos)?),
-        TAG_I64 => Value::I64(unzigzag(get_varint(buf, pos)?)),
-        TAG_F64 => {
-            let bytes: [u8; 8] = buf.get(*pos..*pos + 8)?.try_into().ok()?;
-            *pos += 8;
-            Value::F64(f64::from_bits(u64::from_le_bytes(bytes)))
-        }
-        TAG_STR => {
-            let len = get_varint(buf, pos)? as usize;
-            let bytes = buf.get(*pos..pos.checked_add(len)?)?;
-            *pos += len;
-            Value::Str(String::from_utf8(bytes.to_vec()).ok()?)
-        }
-        TAG_SEQ => {
-            let len = get_varint(buf, pos)? as usize;
-            let mut items = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                items.push(decode_value(buf, pos)?);
-            }
-            Value::Seq(items)
-        }
-        TAG_MAP => {
-            let len = get_varint(buf, pos)? as usize;
-            let mut pairs = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                let k = decode_value(buf, pos)?;
-                let v = decode_value(buf, pos)?;
-                pairs.push((k, v));
-            }
-            Value::Map(pairs)
-        }
-        _ => return None,
-    })
+/// A snapshot value as a [`Source`]: decoders pull tokens straight from
+/// the tagged bytes. Every malformation is an error.
+struct Tagged<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// Items left in each open container, innermost last.
+    open: Vec<u64>,
 }
 
-/// Reads a snapshot, returning its entries only if it matches
+impl<'a> Tagged<'a> {
+    fn corrupt() -> Error {
+        Error::custom("corrupt snapshot value")
+    }
+
+    fn tag(&self) -> Result<u8, Error> {
+        self.buf.get(self.pos).copied().ok_or_else(Self::corrupt)
+    }
+
+    fn varint(&mut self) -> Result<u64, Error> {
+        get_varint(self.buf, &mut self.pos).ok_or_else(Self::corrupt)
+    }
+
+    fn bytes(&mut self, len: u64) -> Result<&'a [u8], Error> {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.pos.checked_add(len))
+            .ok_or_else(Self::corrupt)?;
+        let bytes = self.buf.get(self.pos..end).ok_or_else(Self::corrupt)?;
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    fn open(&mut self, want: Kind) -> Result<(), Error> {
+        let got = self.peek()?;
+        if got != want {
+            return Err(Error::expected(&want.to_string(), got));
+        }
+        if self.open.len() >= serde::MAX_DEPTH {
+            return Err(Error::custom("snapshot value nested too deep"));
+        }
+        self.pos += 1;
+        let len = self.varint()?;
+        self.open.push(len);
+        Ok(())
+    }
+}
+
+impl Source for Tagged<'_> {
+    fn peek(&mut self) -> Result<Kind, Error> {
+        Ok(match self.tag()? {
+            TAG_NULL => Kind::Null,
+            TAG_FALSE | TAG_TRUE => Kind::Bool,
+            TAG_U64 | TAG_I64 | TAG_F64 => Kind::Number,
+            TAG_STR => Kind::Str,
+            TAG_SEQ => Kind::Seq,
+            TAG_MAP => Kind::Map,
+            _ => return Err(Self::corrupt()),
+        })
+    }
+
+    fn scalar(&mut self) -> Result<Scalar<'_>, Error> {
+        let tag = self.tag()?;
+        self.pos += 1;
+        Ok(match tag {
+            TAG_NULL => Scalar::Null,
+            TAG_FALSE => Scalar::Bool(false),
+            TAG_TRUE => Scalar::Bool(true),
+            TAG_U64 => Scalar::U64(self.varint()?),
+            TAG_I64 => Scalar::I64(unzigzag(self.varint()?)),
+            TAG_F64 => {
+                let bytes = self.bytes(8)?.try_into().map_err(|_| Self::corrupt())?;
+                Scalar::F64(f64::from_bits(u64::from_le_bytes(bytes)))
+            }
+            TAG_STR => {
+                let len = self.varint()?;
+                Scalar::Str(std::str::from_utf8(self.bytes(len)?).map_err(|_| Self::corrupt())?)
+            }
+            _ => return Err(Self::corrupt()),
+        })
+    }
+
+    fn seq(&mut self) -> Result<(), Error> {
+        self.open(Kind::Seq)
+    }
+
+    fn map(&mut self) -> Result<(), Error> {
+        self.open(Kind::Map)
+    }
+
+    fn next(&mut self) -> Result<bool, Error> {
+        let left = self.open.last_mut().ok_or_else(Self::corrupt)?;
+        if *left == 0 {
+            self.open.pop();
+            return Ok(false);
+        }
+        *left -= 1;
+        Ok(true)
+    }
+}
+
+/// Decodes one tagged value from the whole of `bytes` as a `T`. `None`
+/// on any malformation, a type mismatch, or bytes left over.
+pub fn decode<T: Deserialize>(bytes: &[u8]) -> Option<T> {
+    let mut src = Tagged {
+        buf: bytes,
+        pos: 0,
+        open: Vec::new(),
+    };
+    let value = T::deserialize(&mut src).ok()?;
+    (src.pos == bytes.len()).then_some(value)
+}
+
+/// Reads a snapshot, decoding every entry as a `T`, only if it matches
 /// `expected_state` (and the current format version) exactly and every
 /// entry decodes to exactly its recorded value length. `None` on
-/// anything else — the caller rebuilds from the JSON tree.
-pub fn read(path: &Path, expected_state: Fingerprint) -> Option<Vec<(String, Value)>> {
+/// anything else, an undecodable entry included — the caller rebuilds
+/// from the JSON tree.
+pub fn read<T: Deserialize>(path: &Path, expected_state: Fingerprint) -> Option<Vec<(String, T)>> {
     let buf = fs::read(path).ok()?;
     if buf.len() < 8 + 4 + 16 + 8 || &buf[..8] != MAGIC {
         return None;
@@ -199,10 +270,9 @@ pub fn read(path: &Path, expected_state: Fingerprint) -> Option<Vec<(String, Val
         pos += key_len;
         let value_len = get_varint(&buf, &mut pos)? as usize;
         let end = pos.checked_add(value_len)?;
-        let value = decode_value(buf.get(..end)?, &mut pos)?;
-        if pos != end {
-            return None; // the value disagrees with its length prefix
-        }
+        // The value must decode to exactly its length prefix.
+        let value = decode(buf.get(pos..end)?)?;
+        pos = end;
         entries.push((key.to_owned(), value));
     }
     (pos == buf.len()).then_some(entries) // trailing garbage: corrupt
@@ -256,33 +326,28 @@ mod tests {
         let v = sample();
         let mut buf = Vec::new();
         encode_value(&v, &mut buf);
-        let mut pos = 0;
-        assert_eq!(decode_value(&buf, &mut pos), Some(v));
-        assert_eq!(pos, buf.len());
+        assert_eq!(decode(&buf), Some(v));
 
         // Varint edges.
         for n in [0u64, 127, 128, u64::MAX] {
             let mut buf = Vec::new();
             encode_value(&Value::U64(n), &mut buf);
-            let mut pos = 0;
-            assert_eq!(decode_value(&buf, &mut pos), Some(Value::U64(n)));
+            assert_eq!(decode(&buf), Some(Value::U64(n)));
         }
         for n in [0i64, -1, i64::MIN, i64::MAX] {
             let mut buf = Vec::new();
             encode_value(&Value::I64(n), &mut buf);
-            let mut pos = 0;
-            assert_eq!(decode_value(&buf, &mut pos), Some(Value::I64(n)));
+            assert_eq!(decode(&buf), Some(Value::I64(n)));
         }
 
         let mut hostile = vec![TAG_STR]; // a length that overflows the offset
         put_varint(u64::MAX, &mut hostile);
-        assert_eq!(decode_value(&hostile, &mut 0), None);
+        assert_eq!(decode::<Value>(&hostile), None);
         // Truncation never panics, just returns None.
         let mut full = Vec::new();
         encode_value(&sample(), &mut full);
         for cut in 0..full.len() {
-            let mut pos = 0;
-            let _ = decode_value(&full[..cut], &mut pos);
+            assert_eq!(decode::<Value>(&full[..cut]), None);
         }
     }
 
@@ -298,24 +363,28 @@ mod tests {
 
         assert_eq!(read(&path, state), Some(entries.clone()));
         assert_eq!(
-            read(&path, fingerprint_of(&"state-2")),
+            read::<Value>(&path, fingerprint_of(&"state-2")),
             None,
             "a snapshot of other content is stale"
         );
-        assert_eq!(read(&dir.join("missing.bin"), state), None);
+        assert_eq!(read::<Value>(&dir.join("missing.bin"), state), None);
 
         // Corrupt tail → rejected wholesale.
         let good = std::fs::read(&path).unwrap();
         let mut bytes = good.clone();
         bytes.push(0xff);
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read(&path, state), None);
+        assert_eq!(read::<Value>(&path, state), None);
 
         // A v1 header (no value-length prefix) reads as stale.
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read(&path, state), None, "pre-v2 snapshots read as stale");
+        assert_eq!(
+            read::<Value>(&path, state),
+            None,
+            "pre-v2 snapshots read as stale"
+        );
 
         // Hostile headers are rejected without a panic: a value-length
         // prefix that disagrees with the encoded value, one byte short
@@ -325,14 +394,29 @@ mod tests {
             let mut bytes = good.clone();
             bytes[len_at] = (i64::from(bytes[len_at]) + delta) as u8;
             std::fs::write(&path, &bytes).unwrap();
-            assert_eq!(read(&path, state), None, "value length off by {delta}");
+            assert_eq!(
+                read::<Value>(&path, state),
+                None,
+                "value length off by {delta}"
+            );
         }
         // …and an entry count of u64::MAX with no entries behind it,
         // which must not size an allocation.
         let mut bytes = good[..36].to_vec();
         bytes[28..36].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read(&path, state), None);
+        assert_eq!(read::<Value>(&path, state), None);
+        // …and an entry of 1M `TAG_SEQ` bytes: sequences nested ~500k
+        // deep, which must be refused past `MAX_DEPTH` instead of
+        // overflowing the stack.
+        let mut bytes = good[..36].to_vec();
+        bytes[28..36].copy_from_slice(&1u64.to_le_bytes());
+        put_varint(1, &mut bytes);
+        bytes.push(b'k');
+        put_varint(1 << 20, &mut bytes);
+        bytes.resize(bytes.len() + (1 << 20), TAG_SEQ);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read::<Value>(&path, state), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

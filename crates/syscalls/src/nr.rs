@@ -499,8 +499,8 @@ impl fmt::Display for Sysno {
 /// Accepts only numbers in the table, so a hostile or corrupt stored
 /// artifact is rejected at load instead of panicking in [`Sysno::name`].
 impl Deserialize for Sysno {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let nr = u32::from_value(v)?;
+    fn deserialize<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        let nr = u32::deserialize(src)?;
         Sysno::from_raw(nr)
             .ok_or_else(|| serde::Error::custom(format!("unknown system call number {nr}")))
     }
@@ -705,8 +705,13 @@ impl Serialize for SysnoSet {
 }
 
 impl Deserialize for SysnoSet {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Vec::<Sysno>::from_value(v)?.into_iter().collect())
+    fn deserialize<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        let mut set = SysnoSet::new();
+        src.seq()?;
+        while src.next()? {
+            set.insert(Sysno::deserialize(src)?);
+        }
+        Ok(set)
     }
 }
 
