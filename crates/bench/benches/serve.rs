@@ -55,19 +55,12 @@ fn populate(dir: &PathBuf) {
     db.flush().expect("flush");
 }
 
-/// One request/answer roundtrip over the wire, daemon batching on —
-/// the hot path the sub-millisecond p50 target is about.
+/// One request/answer roundtrip over the wire against a default
+/// daemon — the hot path the sub-millisecond p50 target is about.
 fn bench_cached_verdict(c: &mut Criterion) {
     let dir = tmp_dir("verdict");
     populate(&dir);
-    let server = Server::start(
-        &dir,
-        ServeConfig {
-            batch_window: Duration::from_micros(50),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("start server");
+    let server = Server::start(&dir, ServeConfig::default()).expect("start server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let request = Request {
         cmd: "verdict".to_owned(),
@@ -91,7 +84,7 @@ fn bench_cached_verdict(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Cold daemon startup: open the database, compile the sharded index,
+/// Cold daemon startup: open the database, compile the index,
 /// bind. `snapshot` serves the matrix namespace from the binary index;
 /// `json-fallback` has no index directory and decodes
 /// every per-cell JSON file.
@@ -110,8 +103,7 @@ fn bench_startup(c: &mut Criterion) {
         let server = Server::start(
             dir,
             ServeConfig {
-                // No watcher/batcher threads: startup cost only.
-                batch_window: Duration::ZERO,
+                // No watcher thread: startup cost only.
                 watch_interval: Duration::ZERO,
                 ..ServeConfig::default()
             },

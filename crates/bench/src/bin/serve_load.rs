@@ -8,7 +8,6 @@
 //!            [--requests N]        # requests per client (default 20)
 //!            [--think-ms N]        # per-client pause between requests (default 400)
 //!            [--sat-clients N]     # saturation-phase threads (default 32)
-//!            [--batch-window-us N] # daemon coalescing window (default 50)
 //!            [--check]             # exhaustive daemon-vs-database cross-check
 //!            [--check-doc FILE]    # daemon summary vs rendered OS_MATRIX.md
 //! ```
@@ -368,7 +367,6 @@ fn main() {
     let requests: usize = parse_or(&args, "--requests", 20);
     let think_ms: u64 = parse_or(&args, "--think-ms", 400);
     let sat_clients: usize = parse_or(&args, "--sat-clients", 32);
-    let batch_us: u64 = parse_or(&args, "--batch-window-us", 50);
 
     let (root, synthetic): (PathBuf, bool) = match flag_value(&args, "--db") {
         Some(dir) => (PathBuf::from(dir), false),
@@ -385,7 +383,6 @@ fn main() {
         &root,
         ServeConfig {
             threads: clients + 64,
-            batch_window: Duration::from_micros(batch_us),
             ..ServeConfig::default()
         },
     )
@@ -437,10 +434,7 @@ fn main() {
     // time, where each roundtrip's latency is the service, not the
     // queue.
     let think = Duration::from_millis(think_ms);
-    eprintln!(
-        "latency: {clients} connected clients x {requests} requests, think {think_ms}ms \
-         (batch window {batch_us}us)..."
-    );
+    eprintln!("latency: {clients} connected clients x {requests} requests, think {think_ms}ms...");
     let (lat, _) = run_fleet(addr, clients, requests, think, &oses, &apps);
     let total = lat.verdict_us.len() + lat.other_us.len();
 

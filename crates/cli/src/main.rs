@@ -16,7 +16,7 @@
 //! loupe cache stats                   # incremental-cache manifest + sweep counters
 //! loupe cache invalidate --os kerla   # force re-measurement of one OS's cells
 //! loupe plan --os kerla --validate     # replay the plan on a restricted kernel
-//! loupe serve --db DIR                # query daemon over the sharded in-memory index
+//! loupe serve --db DIR                # query daemon over the in-memory index
 //! loupe query --os kerla --app redis  # ask a daemon (or --offline: the db directly)
 //! loupe os-list                       # curated OS support specs
 //! loupe importance [--workload bench] # Fig. 3-style ranking
@@ -172,15 +172,13 @@ commands:
                                       app at step k and not at k-1); with --db the
                                       verdict is persisted for `loupe report`
   serve                        long-running query daemon: loads the db once,
-                               compiles it into sharded in-memory verdict
-                               indices and answers length-prefixed JSON
+                               compiles it into an in-memory verdict
+                               index and answers length-prefixed JSON
                                queries over TCP (protocol: docs/SERVING.md)
       --db DIR                        database directory (default: target/loupedb)
       --addr A                        bind address (default: 127.0.0.1:7071;
                                       port 0 picks a free port)
       --threads N                     max concurrent connections (default: 1024)
-      --batch-window-us N             verdict coalescing window in microseconds
-                                      (default: 50; 0 disables batching)
       --watch-ms N                    db-change poll interval in milliseconds
                                       (default: 200; 0 disables the watcher)
       --eager                         build the plan/inverted-syscall tables at
@@ -1099,13 +1097,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_SERVE_ADDR);
     let threads = usize_flag(args, "--threads", 1024)?;
-    let batch_us = flag_value(args, "--batch-window-us")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| "bad --batch-window-us".to_owned())
-        })
-        .transpose()?
-        .unwrap_or(50);
     let watch_ms = flag_value(args, "--watch-ms")
         .map(|v| v.parse::<u64>().map_err(|_| "bad --watch-ms".to_owned()))
         .transpose()?
@@ -1113,15 +1104,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let cfg = loupe_serve::ServeConfig {
         addr: addr.to_owned(),
         threads,
-        batch_window: std::time::Duration::from_micros(batch_us),
         watch_interval: std::time::Duration::from_millis(watch_ms),
         eager: args.iter().any(|a| a == "--eager"),
     };
     let server = loupe_serve::Server::start(db_dir, cfg).map_err(|e| e.to_string())?;
     // Scripted clients parse this line for the resolved port.
     println!("listening on {}", server.local_addr());
-    println!("serving {db_dir} (batch window {batch_us}us, watch {watch_ms}ms); ^C to stop");
-    // The daemon runs until killed; its accept/batcher/watcher threads
+    println!("serving {db_dir} (watch {watch_ms}ms); ^C to stop");
+    // The daemon runs until killed; its accept/watcher threads
     // do all the work.
     loop {
         std::thread::park();

@@ -9,9 +9,9 @@
 //!
 //! Layout:
 //!
-//! * **Verdict shards** — every stored matrix cell, precomputed into a
-//!   per-tier pass/fail verdict and spread over [`SHARDS`] hash shards
-//!   keyed by `(os, app)`. Built eagerly: verdicts are the hot path.
+//! * **Verdicts** — every stored matrix cell, precomputed into a
+//!   per-tier pass/fail verdict in one map keyed by
+//!   `(os, app, workload)`. Built eagerly: verdicts are the hot path.
 //! * **Summary + missing-syscall rankings** — the `OS_MATRIX.md`
 //!   aggregation ([`loupe_sweep::matrix::aggregate`], so the daemon
 //!   and the rendered docs can never disagree), also eager.
@@ -33,25 +33,6 @@ use crate::proto::{
     CellQuery, MissingSyscall, OsSummary, PlanReply, PlanStepReply, Request, Response, Verdict,
 };
 
-/// Number of verdict shards. A power of two so the hash mixes cheaply;
-/// sized for a few hundred cells per shard at fleet scale.
-pub const SHARDS: usize = 16;
-
-/// FNV-1a over `(os, NUL, app)` — the shard key.
-fn shard_hash(os: &str, app: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in os
-        .as_bytes()
-        .iter()
-        .chain([0u8].iter())
-        .chain(app.as_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Precomputed verdicts of one matrix cell: both tiers, ready to copy
 /// into a wire [`Verdict`] without touching the cell again.
 #[derive(Debug, Clone)]
@@ -64,12 +45,6 @@ struct CellVerdicts {
     first_rejection_vanilla: Option<String>,
     first_rejection_planned: Option<String>,
     missing_required: Vec<String>,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    /// `(os, app, workload-label)` → precomputed verdicts.
-    cells: HashMap<(String, String, String), CellVerdicts>,
 }
 
 /// Lazily built analytics over the baselines namespace: support plans
@@ -86,7 +61,10 @@ struct Analytics {
 /// One generation's immutable query index. See the module docs.
 pub struct ServeIndex {
     generation: u64,
-    shards: Vec<Shard>,
+    /// `(os, app, workload-label)` → precomputed verdicts.
+    verdicts: HashMap<(String, String, String), CellVerdicts>,
+    /// Fleet pass-rate rows, byte-for-byte the aggregation
+    /// `OS_MATRIX.md` renders.
     summary: Vec<OsSummary>,
     /// `(os, workload-label)` → ranked missing syscalls.
     missing: BTreeMap<(String, String), Vec<MissingSyscall>>,
@@ -114,7 +92,7 @@ fn names(set: &SysnoSet) -> Vec<String> {
 }
 
 /// Parses a workload label, defaulting to `health`.
-pub fn parse_workload(label: Option<&str>) -> Result<Workload, String> {
+fn parse_workload(label: Option<&str>) -> Result<Workload, String> {
     match label {
         None => Ok(Workload::HealthCheck),
         Some(l) => Workload::ALL
@@ -126,7 +104,7 @@ pub fn parse_workload(label: Option<&str>) -> Result<Workload, String> {
 }
 
 /// Parses a tier label, defaulting to `planned`.
-pub fn parse_tier(label: Option<&str>) -> Result<Tier, String> {
+fn parse_tier(label: Option<&str>) -> Result<Tier, String> {
     match label {
         None => Ok(Tier::Planned),
         Some(l) => {
@@ -144,13 +122,13 @@ impl ServeIndex {
     /// Database I/O and corruption errors.
     pub fn build(db: Database, generation: u64) -> Result<ServeIndex, DbError> {
         let cells = db.load_all(&store::MATRIX)?;
-        let mut shards: Vec<Shard> = (0..SHARDS).map(|_| Shard::default()).collect();
+        let mut verdicts = HashMap::with_capacity(cells.len());
         let mut oses = BTreeSet::new();
         let mut apps = BTreeSet::new();
         for cell in &cells {
             oses.insert(cell.os.clone());
             apps.insert(cell.app.clone());
-            let verdicts = CellVerdicts {
+            let cell_verdicts = CellVerdicts {
                 linux_pass: cell.linux_pass,
                 vanilla_pass: cell.passes(Tier::Vanilla),
                 planned_pass: cell.planned_at_least(),
@@ -158,14 +136,13 @@ impl ServeIndex {
                 first_rejection_planned: cell.planned.as_ref().and_then(|t| t.first_cause()),
                 missing_required: names(&cell.missing_required),
             };
-            let shard = (shard_hash(&cell.os, &cell.app) % SHARDS as u64) as usize;
-            shards[shard].cells.insert(
+            verdicts.insert(
                 (
                     cell.os.clone(),
                     cell.app.clone(),
                     cell.workload.label().to_owned(),
                 ),
-                verdicts,
+                cell_verdicts,
             );
         }
 
@@ -208,7 +185,7 @@ impl ServeIndex {
 
         Ok(ServeIndex {
             generation,
-            shards,
+            verdicts,
             summary,
             missing,
             oses,
@@ -225,24 +202,18 @@ impl ServeIndex {
     }
 
     /// Matrix cells indexed.
-    pub fn cells(&self) -> usize {
+    pub(crate) fn cells(&self) -> usize {
         self.cells
     }
 
     /// Distinct OS names indexed.
-    pub fn os_count(&self) -> usize {
+    pub(crate) fn os_count(&self) -> usize {
         self.oses.len()
     }
 
     /// Distinct app names indexed.
-    pub fn app_count(&self) -> usize {
+    pub(crate) fn app_count(&self) -> usize {
         self.apps.len()
-    }
-
-    /// The shard a query for `(os, app)` resolves in — exposed so the
-    /// batcher can group lookups into per-shard passes.
-    pub fn shard_of(&self, os: &str, app: &str) -> usize {
-        (shard_hash(os, app) % SHARDS as u64) as usize
     }
 
     /// Resolves one verdict lookup. Unknown OS or app names are
@@ -253,7 +224,7 @@ impl ServeIndex {
     /// # Errors
     ///
     /// Unknown OS, app, workload or tier labels.
-    pub fn verdict(&self, query: &CellQuery) -> Result<Verdict, String> {
+    fn verdict(&self, query: &CellQuery) -> Result<Verdict, String> {
         let workload = parse_workload(query.workload.as_deref())?;
         let tier = parse_tier(query.tier.as_deref())?;
         if !self.oses.contains(&query.os) {
@@ -262,7 +233,6 @@ impl ServeIndex {
         if !self.apps.contains(&query.app) {
             return Err(format!("unknown app `{}`", query.app));
         }
-        let shard = &self.shards[self.shard_of(&query.os, &query.app)];
         let key = (
             query.os.clone(),
             query.app.clone(),
@@ -275,7 +245,7 @@ impl ServeIndex {
             tier: tier.label().to_owned(),
             ..Verdict::default()
         };
-        if let Some(cell) = shard.cells.get(&key) {
+        if let Some(cell) = self.verdicts.get(&key) {
             verdict.known = true;
             verdict.linux_pass = cell.linux_pass;
             verdict.pass = match tier {
@@ -298,18 +268,12 @@ impl ServeIndex {
         Ok(verdict)
     }
 
-    /// The fleet pass-rate summary — one row per `(os, workload)`,
-    /// byte-for-byte the aggregation `OS_MATRIX.md` renders.
-    pub fn summary(&self) -> &[OsSummary] {
-        &self.summary
-    }
-
     /// Top missing syscalls blocking apps on `os`, most-blocking first.
     ///
     /// # Errors
     ///
     /// Unknown OS or workload labels.
-    pub fn missing(
+    fn missing(
         &self,
         os: &str,
         workload: Option<&str>,
@@ -333,7 +297,7 @@ impl ServeIndex {
     ///
     /// Unknown OS/workload, plus database errors from the first
     /// (index-building) call.
-    pub fn plan(&self, os_name: &str, workload: Option<&str>) -> Result<PlanReply, String> {
+    fn plan(&self, os_name: &str, workload: Option<&str>) -> Result<PlanReply, String> {
         let workload = parse_workload(workload)?;
         let analytics = self.analytics()?;
         analytics
@@ -348,7 +312,7 @@ impl ServeIndex {
     /// # Errors
     ///
     /// Unknown syscall names, plus database errors from the first call.
-    pub fn apps_requiring(&self, syscall: &str) -> Result<Vec<String>, String> {
+    fn apps_requiring(&self, syscall: &str) -> Result<Vec<String>, String> {
         if loupe_syscalls::Sysno::from_name(syscall).is_none() {
             return Err(format!("unknown syscall `{syscall}`"));
         }
@@ -365,15 +329,14 @@ impl ServeIndex {
     /// # Errors
     ///
     /// Database errors reading the baselines namespace.
-    pub fn warm_analytics(&self) -> Result<(), String> {
+    pub(crate) fn warm_analytics(&self) -> Result<(), String> {
         self.analytics().map(|_| ())
     }
 
-    /// Answers a protocol request straight from this index — the
-    /// daemon-free resolution path `loupe query --offline` uses, and
-    /// exactly what the daemon computes for each command (the daemon
-    /// adds batching and counters on top). `stats` counters belong to
-    /// a daemon and fail here.
+    /// Answers a protocol request straight from this index: what the
+    /// daemon sends for every command but `stats`, and what `loupe
+    /// query --offline` prints without a daemon. `stats` counters
+    /// belong to a daemon and fail here.
     pub fn answer(&self, req: &Request) -> Response {
         let generation = Some(self.generation);
         match req.cmd.as_str() {

@@ -1,5 +1,5 @@
 //! `loupe serve`: a long-running daemon answering compatibility
-//! queries out of sharded, immutable in-memory indices.
+//! queries out of an immutable in-memory index.
 //!
 //! The sweep pipeline measures; this crate *answers*. A fleet
 //! dashboard, a CI gate or a porting engineer asks "will app X run on
@@ -9,22 +9,22 @@
 //! does that work once per database generation:
 //!
 //! * startup bulk-loads the database (one binary snapshot read per
-//!   namespace) and compiles the matrix namespace into [`index::SHARDS`]
-//!   hash shards of precomputed per-tier verdicts plus the
-//!   `OS_MATRIX.md` aggregation — reads after that touch no disk;
+//!   namespace) and compiles the matrix namespace into one map of
+//!   precomputed per-tier verdicts plus the `OS_MATRIX.md`
+//!   aggregation — reads after that touch no disk;
 //! * plan and inverted-syscall queries build their (baselines-backed)
 //!   tables on first touch, so a verdict-only daemon never decodes a
 //!   baseline;
-//! * a watcher polls the manifest fingerprint and swaps in a freshly
-//!   built index when the database changes — queries see the old or
-//!   the new generation, never a mix;
-//! * concurrent verdict lookups coalesce in a short batching window
-//!   into shard-ordered passes ([`batch::Batcher`]).
+//! * a watcher polls the manifest and swaps in a freshly built index
+//!   when the database changes — queries see the old or the new
+//!   generation, never a mix.
 //!
-//! The wire protocol ([`proto`]) is length-prefixed JSON over TCP —
-//! std-only, no async runtime, speakable from any language.
+//! Every command except `stats` resolves through
+//! [`ServeIndex::answer`], the same code `loupe query --offline` runs
+//! without a daemon. The wire protocol ([`proto`]) is length-prefixed
+//! JSON over TCP — std-only, no async runtime, speakable from any
+//! language.
 
-pub mod batch;
 pub mod client;
 pub mod index;
 pub mod proto;

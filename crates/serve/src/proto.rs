@@ -17,7 +17,7 @@
 //! | `missing`  | top missing syscalls blocking apps on `os`      |
 //! | `summary`  | fleet pass-rate summary (OS_MATRIX rows)        |
 //! | `apps`     | which apps require `syscall`                    |
-//! | `stats`    | daemon counters (requests, batches, rebuilds)   |
+//! | `stats`    | daemon counters (requests, rebuilds)            |
 
 use std::io::{self, Read, Write};
 
@@ -85,8 +85,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
 
-/// One cell lookup inside a `verdicts` batch (and the unit the request
-/// batcher coalesces).
+/// One cell lookup inside a `verdicts` request.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CellQuery {
     /// OS name.
@@ -124,7 +123,7 @@ pub struct Request {
     /// Result cap (`missing`); defaults to 10.
     #[serde(default)]
     pub limit: Option<u64>,
-    /// Batch of lookups (`verdicts`).
+    /// Cells to look up (`verdicts`).
     #[serde(default)]
     pub cells: Vec<CellQuery>,
 }
@@ -223,10 +222,10 @@ pub struct ServeStats {
     pub apps: u64,
     /// Requests answered.
     pub requests: u64,
-    /// Verdict lookups that went through the batcher.
+    /// Always 0: the daemon no longer batches lookups. Kept on the
+    /// wire only for the benchmark helper that still reads it.
     pub batched_lookups: u64,
-    /// Shard passes the batcher ran (≤ batched_lookups; the gap is
-    /// coalescing).
+    /// Always 0, like `batched_lookups`, and kept for the same reader.
     pub batches: u64,
     /// Index rebuilds triggered by the generation watcher.
     pub rebuilds: u64,

@@ -8,13 +8,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 use loupe_db::{Database, DbError};
 
-use crate::batch::Batcher;
 use crate::index::ServeIndex;
-use crate::proto::{self, CellQuery, Request, Response, ServeStats};
+use crate::proto::{self, Request, Response, ServeStats};
 
 /// Server startup errors.
 #[derive(Debug)]
@@ -55,9 +54,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Maximum concurrent connection-handler threads.
     pub threads: usize,
-    /// Batching window for verdict lookups; zero answers each lookup
-    /// directly (unbatched).
-    pub batch_window: Duration,
     /// Database poll interval for the generation watcher; zero
     /// disables watching.
     pub watch_interval: Duration,
@@ -71,11 +67,25 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             threads: 1024,
-            batch_window: Duration::from_micros(50),
             watch_interval: Duration::from_millis(200),
             eager: false,
         }
     }
+}
+
+/// The manifest's length and modification time: one `stat`, where
+/// [`manifest_fingerprint`] reads the whole file. An unchanged stamp
+/// means unchanged bytes, except within a filesystem clock tick: a
+/// second rewrite inside the same tick can keep both length and time.
+/// So a manifest modified less than a second ago has no stamp (`None`
+/// never matches), and the watcher hashes it until it has aged.
+fn manifest_stamp(root: &Path) -> Option<(u64, SystemTime)> {
+    let meta = std::fs::metadata(root.join("manifest.json")).ok()?;
+    let modified = meta.modified().ok()?;
+    let aged = modified
+        .elapsed()
+        .is_ok_and(|age| age >= Duration::from_secs(1));
+    aged.then_some((meta.len(), modified))
 }
 
 /// FNV-1a over the manifest bytes: the database-change signal. The
@@ -97,8 +107,6 @@ fn manifest_fingerprint(root: &Path) -> u64 {
 struct Shared {
     root: PathBuf,
     index: RwLock<Arc<ServeIndex>>,
-    batcher: Batcher,
-    batching: bool,
     eager: bool,
     shutdown: AtomicBool,
     requests: AtomicU64,
@@ -132,30 +140,6 @@ impl Shared {
     fn handle(&self, req: &Request) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
         match req.cmd.as_str() {
-            // Coalescible verdict lookups go through the batcher; the
-            // batcher resolves them with the same `ServeIndex::verdict`
-            // the direct path uses, so the answers are byte-identical.
-            "verdict" if self.batching => {
-                let (Some(os), Some(app)) = (req.os.clone(), req.app.clone()) else {
-                    return Response::fail("verdict needs `os` and `app`");
-                };
-                let query = CellQuery {
-                    os,
-                    app,
-                    workload: req.workload.clone(),
-                    tier: req.tier.clone(),
-                };
-                let (generation, result) = self.batcher.lookup(query);
-                match result {
-                    Ok(verdict) => Response {
-                        ok: true,
-                        generation: Some(generation),
-                        verdict: Some(verdict),
-                        ..Response::default()
-                    },
-                    Err(e) => Response::fail(e),
-                }
-            }
             // Daemon counters live here, not in the index.
             "stats" => {
                 let index = self.snapshot();
@@ -168,8 +152,8 @@ impl Shared {
                         oses: index.os_count() as u64,
                         apps: index.app_count() as u64,
                         requests: self.requests.load(Ordering::Relaxed),
-                        batched_lookups: self.batcher.lookups.load(Ordering::Relaxed),
-                        batches: self.batcher.batches.load(Ordering::Relaxed),
+                        batched_lookups: 0,
+                        batches: 0,
                         rebuilds: self.rebuilds.load(Ordering::Relaxed),
                     }),
                     ..Response::default()
@@ -203,7 +187,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 }
 
 /// A running serve daemon. Dropping it (or calling [`Server::stop`])
-/// shuts the listener, watcher and batcher down.
+/// shuts the listener and watcher down.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
@@ -231,8 +215,6 @@ impl Server {
         let shared = Arc::new(Shared {
             root,
             index: RwLock::new(Arc::new(index)),
-            batcher: Batcher::new(cfg.batch_window),
-            batching: !cfg.batch_window.is_zero(),
             eager: cfg.eager,
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -282,32 +264,30 @@ impl Server {
             }));
         }
 
-        // Batcher drain loop.
-        if !cfg.batch_window.is_zero() {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                let snap_handle = Arc::clone(&shared);
-                let snap = move || snap_handle.snapshot();
-                shared.batcher.run(snap, &shared.shutdown);
-            }));
-        }
-
-        // Generation watcher: polls the manifest fingerprint and swaps
-        // in a freshly built index when it changes.
+        // Generation watcher: polls the manifest and swaps in a freshly
+        // built index when its bytes change. The bytes are read and
+        // hashed only when the stamp moved (or is too fresh to trust).
         if !cfg.watch_interval.is_zero() {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || {
+                let mut stamp = manifest_stamp(&shared.root);
                 let mut last = manifest_fingerprint(&shared.root);
                 while !shared.shutdown.load(Ordering::Acquire) {
                     std::thread::sleep(cfg.watch_interval);
+                    // Stat before reading: a rewrite in between leaves
+                    // an old stamp next to new bytes, so the next poll
+                    // looks again.
+                    let current_stamp = manifest_stamp(&shared.root);
+                    if current_stamp.is_some() && current_stamp == stamp {
+                        continue;
+                    }
                     let current = manifest_fingerprint(&shared.root);
-                    if current != last {
-                        // Rebuild failures (e.g. a writer mid-flight)
-                        // leave the previous generation serving; the
-                        // next poll retries.
-                        if shared.rebuild().is_ok() {
-                            last = current;
-                        }
+                    // Rebuild failures (e.g. a writer mid-flight) leave
+                    // the previous generation serving; the next poll
+                    // retries.
+                    if current == last || shared.rebuild().is_ok() {
+                        last = current;
+                        stamp = current_stamp;
                     }
                 }
             }));
@@ -340,7 +320,7 @@ impl Server {
         self.shared.rebuild()
     }
 
-    /// Stops the daemon: listener, watcher and batcher threads exit;
+    /// Stops the daemon: listener and watcher threads exit;
     /// in-flight connection threads finish their current
     /// request/response and end with their client.
     pub fn stop(mut self) {
@@ -352,7 +332,6 @@ impl Server {
 
     fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.batcher.interrupt();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }

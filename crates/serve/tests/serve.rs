@@ -1,7 +1,8 @@
 //! End-to-end daemon tests: protocol answers against a populated
-//! corpus, exhaustive daemon-vs-database cross-checks, batched ==
-//! unbatched equivalence, and generation-swap atomicity under
-//! concurrent database edits.
+//! corpus, exhaustive daemon-vs-database cross-checks, daemon ==
+//! offline (`ServeIndex::answer`) equivalence for every command but
+//! `stats`, and generation-swap atomicity under concurrent database
+//! edits.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 use loupe_apps::{registry, Workload};
 use loupe_db::{store, Database};
 use loupe_plan::{os, MatrixCell, Tier, TierOutcome};
-use loupe_serve::{CellQuery, Client, Request, ServeConfig, Server};
+use loupe_serve::{CellQuery, Client, Request, ServeConfig, ServeIndex, Server};
 use loupe_sweep::{MatrixConfig, SweepConfig};
 use loupe_syscalls::SysnoSet;
 
@@ -249,36 +250,107 @@ fn seed_synthetic(dir: &Path, oses: &[&str], apps: &[&str], planned_pass: bool) 
 const EQ_OSES: [&str; 2] = ["kerla", "gvisor"];
 const EQ_APPS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
-/// Two daemons over the same corpus, one batching and one not; both
-/// kept alive for every proptest case.
-fn equivalence_servers() -> (SocketAddr, SocketAddr) {
-    static SERVERS: OnceLock<(SocketAddr, SocketAddr)> = OnceLock::new();
-    *SERVERS.get_or_init(|| {
+/// One daemon (no watcher, so it stays at generation 0) and the
+/// offline index built from the same directory, both kept alive for
+/// every proptest case. The corpus is the measured fixture (so `plan`
+/// and `apps` have baselines to answer from) plus the synthetic cells.
+fn equivalence_fixture() -> &'static (SocketAddr, ServeIndex) {
+    static FIXTURE: OnceLock<(SocketAddr, ServeIndex)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
         let dir = tmpdir("equiv");
+        populate(&dir);
         seed_synthetic(&dir, &EQ_OSES, &EQ_APPS, true);
-        let batched = start(
+        let server = start(
             &dir,
             ServeConfig {
-                batch_window: Duration::from_micros(200),
                 watch_interval: Duration::ZERO,
                 ..ServeConfig::default()
             },
         );
-        let direct = start(
-            &dir,
-            ServeConfig {
-                batch_window: Duration::ZERO,
-                watch_interval: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-        );
-        let addrs = (batched.local_addr(), direct.local_addr());
-        // Leak the servers: proptest cases keep hitting them until the
+        let offline = ServeIndex::build(Database::open(&dir).unwrap(), 0).unwrap();
+        let addr = server.local_addr();
+        // Leak the server: proptest cases keep hitting it until the
         // process exits.
-        std::mem::forget(batched);
-        std::mem::forget(direct);
-        addrs
+        std::mem::forget(server);
+        (addr, offline)
     })
+}
+
+/// OS, workload and tier pools, each with one name the corpus lacks.
+const POOL_OSES: [&str; 3] = ["kerla", "gvisor", "atlantis"];
+const POOL_WORKLOADS: [Option<&str>; 5] = [
+    None,
+    Some("health"),
+    Some("bench"),
+    Some("suite"),
+    Some("bogus"),
+];
+const POOL_TIERS: [Option<&str>; 4] = [None, Some("vanilla"), Some("planned"), Some("bogus")];
+/// Verdict cells: 3 x 5 x 5 x 4 `(os, app, workload, tier)` combinations.
+const POOL_CELLS: usize = 300;
+/// Every request `pool_request` can build.
+const POOL: usize = POOL_CELLS + 100 + 1 + 45 + 15 + 4 + 5;
+
+fn pool_cell(q: usize) -> CellQuery {
+    let (os_i, app_i, wl_i, tier_i) = (q % 3, (q / 3) % 5, (q / 15) % 5, (q / 75) % 4);
+    CellQuery {
+        os: POOL_OSES[os_i].to_owned(),
+        app: ["alpha", "beta", "gamma", "delta", "doom"][app_i].to_owned(),
+        workload: POOL_WORKLOADS[wl_i].map(str::to_owned),
+        tier: POOL_TIERS[tier_i].map(str::to_owned),
+    }
+}
+
+/// Request `q` of the pool: single verdicts, multi-cell verdicts,
+/// summary, missing, plan, apps, and the requests every command
+/// rejects (missing fields, unknown command) — unknown names included,
+/// so error answers must match byte-for-byte too.
+fn pool_request(q: usize) -> Request {
+    let cmd = |cmd: &str| Request {
+        cmd: cmd.to_owned(),
+        ..Request::default()
+    };
+    if q < POOL_CELLS {
+        let cell = pool_cell(q);
+        return Request {
+            os: Some(cell.os),
+            app: Some(cell.app),
+            workload: cell.workload,
+            tier: cell.tier,
+            ..cmd("verdict")
+        };
+    }
+    match q - POOL_CELLS {
+        r @ 0..100 => Request {
+            cells: (0..r % 4)
+                .map(|k| pool_cell((r * 37 + k * 101) % POOL_CELLS))
+                .collect(),
+            ..cmd("verdicts")
+        },
+        100 => cmd("summary"),
+        r @ 101..146 => Request {
+            os: Some(POOL_OSES[r % 3].to_owned()),
+            workload: POOL_WORKLOADS[(r / 3) % 5].map(str::to_owned),
+            limit: [None, Some(0), Some(3)][(r / 15) % 3],
+            ..cmd("missing")
+        },
+        r @ 146..161 => Request {
+            os: Some(POOL_OSES[r % 3].to_owned()),
+            workload: POOL_WORKLOADS[(r / 3) % 5].map(str::to_owned),
+            ..cmd("plan")
+        },
+        r @ 161..165 => Request {
+            syscall: [
+                Some("read"),
+                Some("io_uring_setup"),
+                Some("not_a_syscall"),
+                None,
+            ][r - 161]
+                .map(str::to_owned),
+            ..cmd("apps")
+        },
+        r => cmd(["ping", "explode", "verdict", "plan", "missing"][r - 165]),
+    }
 }
 
 mod equivalence {
@@ -287,47 +359,37 @@ mod equivalence {
 
     proptest! {
         #[test]
-        fn batched_answers_are_byte_identical_to_unbatched(
-            // Each index encodes (os, app, workload, tier) drawn from
-            // pools that include unknown names, so error paths must
-            // match byte-for-byte too: 3 x 5 x 5 x 4 combinations.
-            queries in proptest::collection::vec(0usize..300, 1..12)
+        fn daemon_answers_are_byte_identical_to_offline(
+            queries in proptest::collection::vec(0usize..POOL, 1..12)
         ) {
-            let (batched, direct) = equivalence_servers();
-            let mut batched = connect(batched);
-            let mut direct = connect(direct);
+            let (addr, offline) = equivalence_fixture();
+            let mut daemon = connect(*addr);
             for q in queries {
-                let (os_i, app_i, wl_i, tier_i) =
-                    (q % 3, (q / 3) % 5, (q / 15) % 5, (q / 75) % 4);
-                let os = ["kerla", "gvisor", "atlantis"][os_i];
-                let app = ["alpha", "beta", "gamma", "delta", "doom"][app_i];
-                let workload = [None, Some("health"), Some("bench"), Some("suite"), Some("bogus")][wl_i];
-                let tier = [None, Some("vanilla"), Some("planned"), Some("bogus")][tier_i];
-                let request = serde_json::to_string(&verdict_request(os, app, workload, tier)).unwrap();
-                let a = batched.request_raw(&request).unwrap();
-                let b = direct.request_raw(&request).unwrap();
-                prop_assert_eq!(a, b, "query {} diverged", request);
+                let request = pool_request(q);
+                let frame = serde_json::to_string(&request).unwrap();
+                let got = daemon.request_raw(&frame).unwrap();
+                let want = serde_json::to_string(&offline.answer(&request)).unwrap();
+                prop_assert_eq!(got, want, "query {} diverged", frame);
             }
         }
     }
 }
 
 #[test]
-fn concurrent_clients_get_coalesced_but_identical_answers() {
-    let dir = tmpdir("coalesce");
+fn concurrent_clients_get_identical_answers() {
+    let dir = tmpdir("concurrent");
     seed_synthetic(&dir, &EQ_OSES, &EQ_APPS, true);
     let server = start(
         &dir,
         ServeConfig {
-            batch_window: Duration::from_micros(300),
             watch_interval: Duration::ZERO,
             ..ServeConfig::default()
         },
     );
     let addr = server.local_addr();
 
-    // 32 threads x 8 lookups through the batcher; answers must match a
-    // direct index computation regardless of how drains coalesce.
+    // 32 threads x 8 concurrent lookups; answers must match a direct
+    // index computation however the connection threads interleave.
     let mut handles = Vec::new();
     for t in 0..32 {
         handles.push(std::thread::spawn(move || {
@@ -360,10 +422,10 @@ fn concurrent_clients_get_coalesced_but_identical_answers() {
         .unwrap()
         .stats
         .unwrap();
-    assert_eq!(stats.batched_lookups, 32 * 8);
+    assert!(stats.requests >= 32 * 8);
     assert!(
-        stats.batches <= stats.batched_lookups,
-        "drains never exceed lookups"
+        stats.batched_lookups == 0 && stats.batches == 0,
+        "the daemon no longer batches: {stats:?}"
     );
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
