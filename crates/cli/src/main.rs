@@ -215,6 +215,38 @@ commands:
   trace -- <cmd> [args...]     trace a real binary with ptrace
   help                         this message";
 
+/// Checks `cmd`'s flags before it does anything: `--help` prints `cmd`'s
+/// block of [`USAGE`] and returns `Ok(true)`, so the caller returns
+/// without running; any other flag not in `known` is an error naming it.
+fn help_or_reject_unknown(cmd: &str, args: &[String], known: &[&str]) -> Result<bool, String> {
+    if args.iter().any(|a| a == "--help") {
+        println!("{}", usage_of(cmd));
+        return Ok(true);
+    }
+    match args
+        .iter()
+        .find(|a| a.starts_with('-') && !known.contains(&a.as_str()))
+    {
+        Some(flag) => Err(format!(
+            "{cmd}: unknown flag `{flag}` (see `loupe {cmd} --help`)"
+        )),
+        None => Ok(false),
+    }
+}
+
+/// `cmd`'s block of [`USAGE`]: its line and the more deeply indented
+/// lines under it.
+fn usage_of(cmd: &str) -> String {
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|line| line.split_whitespace().next() != Some(cmd) || line.starts_with("   "));
+    let head = lines.next().unwrap_or_default();
+    std::iter::once(head)
+        .chain(lines.take_while(|line| line.starts_with("   ")))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -586,6 +618,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
+    if help_or_reject_unknown("compare", args, &["--db", "--workers"])? {
+        return Ok(());
+    }
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
     let workers = usize_flag(args, "--workers", 0)?;
@@ -617,61 +652,14 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let apps: Vec<_> = measured.iter().filter_map(|n| registry::find(n)).collect();
     loupe_sweep::sweep_static(&db, apps, workers, false).map_err(|e| e.to_string())?;
 
-    let comparisons = loupe_sweep::compare(&db).map_err(|e| e.to_string())?;
-    let mut violated: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for c in &comparisons {
-        println!(
-            "{} workload: {} apps; fleet syscalls: {} dynamic ({} required); \
-             static L0/L1/L2/L3: {}/{}/{}/{}",
-            c.workload,
-            c.apps.len(),
-            c.fleet_dynamic_used,
-            c.fleet_dynamic_required,
-            c.fleet_static[0],
-            c.fleet_static[1],
-            c.fleet_static[2],
-            c.fleet_static[3]
-        );
-        println!(
-            "  mean per-app overestimation: {:.2}x (L0), {:.2}x (L1), {:.2}x (L2), \
-             {:.2}x (L3); chain dynamic ⊆ L3 ⊆ L2 ⊆ L1 ⊆ L0: {}",
-            c.mean_factor[0],
-            c.mean_factor[1],
-            c.mean_factor[2],
-            c.mean_factor[3],
-            if c.invariants_hold() {
-                "holds for every app"
-            } else {
-                "VIOLATED"
-            }
-        );
-        for a in c.apps.iter().filter(|a| !a.chain_ok) {
-            violated.insert(a.app.clone());
-            for (link, missing) in &a.chain_breaks {
-                eprintln!(
-                    "  CHAIN BROKEN for {} ({} workload): {link}, coarser side misses {missing}",
-                    a.app, c.workload
-                );
-            }
-        }
-        println!("  static-plan waste per OS (extra syscalls implemented vs dynamic plan):");
-        for d in &c.plan_deltas {
-            println!(
-                "    {:<14} implement {:>3} (dyn) vs {:>3} (L3, +{}) vs {:>3} (L0, +{})",
-                d.os,
-                d.dynamic_implemented,
-                d.implemented(loupe_static::Level::L3),
-                d.source_waste(),
-                d.implemented(loupe_static::Level::L0),
-                d.binary_waste()
-            );
-        }
-    }
-    if !violated.is_empty() {
+    let output = loupe_sweep::compare_output(&db).map_err(|e| e.to_string())?;
+    print!("{}", output.stdout);
+    eprint!("{}", output.stderr);
+    if !output.failed.is_empty() {
         return Err(format!(
             "compare: dynamic ⊆ L3 ⊆ L2 ⊆ L1 ⊆ L0 violated for {} app(s): {}",
-            violated.len(),
-            violated.into_iter().collect::<Vec<_>>().join(", ")
+            output.failed.len(),
+            output.failed.join(", ")
         ));
     }
     Ok(())
@@ -768,6 +756,9 @@ fn explain_witness(app: &str, sysno: &str) -> Result<(), String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
+    if help_or_reject_unknown("report", args, &["--db", "--docs", "--check"])? {
+        return Ok(());
+    }
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
     let docs_dir = std::path::Path::new(flag_value(args, "--docs").unwrap_or("docs"));
@@ -1094,6 +1085,10 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7071";
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    let known = ["--db", "--addr", "--threads", "--watch-ms", "--eager"];
+    if help_or_reject_unknown("serve", args, &known)? {
+        return Ok(());
+    }
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_SERVE_ADDR);
     let threads = usize_flag(args, "--threads", 1024)?;

@@ -350,3 +350,112 @@ fn ingest_round_trips_the_vendored_kerla_table_and_rejects_corruption() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--from"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every file under `dir`, with its bytes, by path.
+fn tree(dir: &std::path::Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        for entry in std::fs::read_dir(d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                files.insert(path.clone(), std::fs::read(path).unwrap());
+            }
+        }
+    }
+    files
+}
+
+#[test]
+fn misspelt_flags_exit_nonzero_before_touching_db_or_docs() {
+    let dir = tmpdir("misspelt-flag");
+    let (db, docs) = (dir.join("db"), dir.join("docs"));
+    let out = loupe()
+        .args([
+            "sweep",
+            "--workload",
+            "health",
+            "--apps",
+            "hello-musl-static",
+            "--db",
+        ])
+        .arg(&db)
+        .output()
+        .expect("spawn loupe");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = loupe()
+        .args(["report", "--db"])
+        .arg(&db)
+        .arg("--docs")
+        .arg(&docs)
+        .output()
+        .expect("spawn loupe");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Drifted docs: `report` without `--check` would rewrite them.
+    let page = docs.join("COMPATIBILITY.md");
+    let mut text = std::fs::read_to_string(&page).unwrap();
+    text.push_str("hand edit\n");
+    std::fs::write(&page, text).unwrap();
+    let (docs_before, db_before) = (tree(&docs), tree(&db));
+
+    let misspelt: [&[&str]; 3] = [
+        &["report", "--chek", "--docs"],
+        &["compare", "--wrokers", "2", "--docs"],
+        &["serve", "--wach-ms", "0", "--docs"],
+    ];
+    for args in misspelt {
+        let out = loupe()
+            .args(args)
+            .arg(&docs)
+            .arg("--db")
+            .arg(&db)
+            .output()
+            .expect("spawn loupe");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown flag `{}`", args[1])),
+            "{stderr}"
+        );
+        assert_eq!(tree(&docs), docs_before, "{args:?} touched the docs");
+        assert_eq!(tree(&db), db_before, "{args:?} touched the db");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_help_prints_its_flags_and_starts_nothing() {
+    let mut child = loupe()
+        .args(["serve", "--help"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn loupe");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("`loupe serve --help` is still running");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stdout = String::new();
+    std::io::Read::read_to_string(&mut child.stdout.take().unwrap(), &mut stdout).unwrap();
+    assert!(status.success(), "{stdout}");
+    for flag in ["--db", "--addr", "--threads", "--watch-ms", "--eager"] {
+        assert!(stdout.contains(flag), "{flag} missing from: {stdout}");
+    }
+    assert!(!stdout.contains("listening on"), "{stdout}");
+}

@@ -4,15 +4,15 @@
 //! Results are final for a fixed build of the software, its workload and
 //! kernel, so they are worth persisting and sharing. This crate stores
 //! every artifact the pipeline produces — baseline and restricted-env
-//! [`AppReport`]s, matrix cells, plan validations, static reports and
-//! conformance suites — as JSON files in a directory tree, one
-//! [`store::Namespace`] descriptor per kind (`<root>/<app>/<workload>.json`
-//! for baselines; the full layout is in [`store`]). One generic store
-//! serves every namespace: [`Database::put`] (merging per the
-//! namespace's policy — conservative for measurements, §3.1),
-//! [`Database::get`], [`Database::keys`] and [`Database::load_all`]. OS
-//! support specs are imported/exported in the paper's
-//! one-syscall-per-line CSV form.
+//! [`AppReport`]s, matrix cells, plan validations, static reports,
+//! conformance suites and what is rendered from them — as JSON files
+//! in a directory tree, one [`store::Namespace`] descriptor per kind
+//! (`<root>/<app>/<workload>.json` for baselines; the full layout is
+//! in [`store`]). One generic store serves every namespace:
+//! [`Database::put`] (merging per the namespace's policy — conservative
+//! for measurements, §3.1), [`Database::get`], [`Database::keys`] and
+//! [`Database::load_all`]. OS support specs are imported/exported in
+//! the paper's one-syscall-per-line CSV form.
 //!
 //! Every file is replaced atomically (temp file + rename), so a reader —
 //! or the next run after a `kill -9` — sees the old artifact or the new
@@ -50,7 +50,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -201,8 +201,10 @@ impl Shared {
     /// Content-addressed state of a namespace: the fingerprint of every
     /// `(key, output-fingerprint)` pair. This is what binary snapshots
     /// are tagged with, making their staleness check survive process
-    /// boundaries. O(namespace), so only a bulk load that misses its
-    /// in-memory slot computes it.
+    /// boundaries, and the input that stands for a whole namespace in a
+    /// rendered output's record. O(namespace), so only a bulk load that
+    /// misses its in-memory slot and the rendered outputs' gate compute
+    /// it.
     fn namespace_state(&self, namespace: &str) -> Fingerprint {
         #[cfg(test)]
         tests::STATE_COMPUTATIONS.with(|n| n.set(n.get() + 1));
@@ -309,7 +311,13 @@ impl Shared {
             if !s.dirty {
                 return Ok(());
             }
-            write_atomic(&path, to_json(&path, &s.manifest)?.as_bytes())?;
+            // Compact, unlike the artifacts: only programs read the
+            // manifest, and every command parses it on open.
+            let text = serde_json::to_string(&s.manifest).map_err(|e| DbError::Corrupt {
+                path: path.clone(),
+                message: e.to_string(),
+            })?;
+            write_atomic(&path, text.as_bytes())?;
             s.dirty = false;
             Ok(())
         })
@@ -412,6 +420,103 @@ fn to_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<String, DbErro
         path: path.to_path_buf(),
         message: e.to_string(),
     })
+}
+
+/// Fingerprints raw bytes, a 64-bit word at a time: the checksum of the
+/// binary snapshots and the identity of rendered files and of the
+/// running executable. Each of its two lanes takes a word as
+/// `(lane ^ word) * K`, then rotates; for a fixed lane that is a
+/// bijection of the word, and every later step is a bijection of the
+/// lane, so any change confined to one word (a flipped byte) always
+/// changes the result. One step per 8 bytes where [`fingerprint_of`]
+/// takes one per byte; like it, this is not cryptographic.
+pub fn fingerprint_bytes(bytes: &[u8]) -> Fingerprint {
+    let whole = bytes.len() - bytes.len() % 8;
+    let mut lanes = WordLanes::new();
+    lanes.words(&bytes[..whole]);
+    lanes.finish(&bytes[whole..], bytes.len() as u64)
+}
+
+/// [`fingerprint_bytes`] of a file's contents, read in 64 KiB blocks so
+/// a large file (an executable) needs no buffer of its size.
+///
+/// # Errors
+///
+/// I/O failures, a missing file included.
+pub fn fingerprint_file(path: &Path) -> io::Result<Fingerprint> {
+    let mut file = fs::File::open(path)?;
+    let mut block = vec![0u8; 1 << 16];
+    let mut lanes = WordLanes::new();
+    let mut len = 0u64;
+    loop {
+        // Only the last block may end short, and so end mid-word.
+        let mut filled = 0;
+        while filled < block.len() {
+            match file.read(&mut block[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        len += filled as u64;
+        if filled < block.len() {
+            let whole = filled - filled % 8;
+            lanes.words(&block[..whole]);
+            return Ok(lanes.finish(&block[whole..filled], len));
+        }
+        lanes.words(&block);
+    }
+}
+
+/// The state of [`fingerprint_bytes`].
+struct WordLanes {
+    a: u64,
+    b: u64,
+}
+
+impl WordLanes {
+    fn new() -> WordLanes {
+        WordLanes {
+            a: 0x243f_6a88_85a3_08d3,
+            b: 0x1319_8a2e_0370_7344,
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+        self.b = (self.b ^ w.rotate_left(32))
+            .wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            .rotate_left(31);
+    }
+
+    /// Takes whole words; `bytes.len()` must be a multiple of 8.
+    fn words(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks_exact(8) {
+            self.word(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+    }
+
+    /// Takes the last `tail` (under 8 bytes, zero-padded) and the total
+    /// length, so trailing zero bytes still count.
+    fn finish(mut self, tail: &[u8], len: u64) -> Fingerprint {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        self.word(u64::from_le_bytes(last));
+        self.word(len);
+        Fingerprint::from_u128(u128::from(avalanche(self.a)) << 64 | u128::from(avalanche(self.b)))
+    }
+}
+
+/// MurmurHash3's 64-bit finaliser: spreads every bit over the word.
+fn avalanche(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
 }
 
 /// The one writer of database files: `bytes` go to a fresh temp file
@@ -734,6 +839,16 @@ impl Database {
     ) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
         self.save_locked(ns, value, why == Derive::Miss, Some((inputs, meta)))
+    }
+
+    /// The content-addressed state of a namespace: the fingerprint of
+    /// every `(key, output fingerprint)` pair its manifest records hold.
+    /// It changes exactly when a stored artifact is added, removed or
+    /// changes content, so it stands for the whole namespace as an input
+    /// of what is rendered from it ([`store::RENDERED`]). Computed from
+    /// the manifest alone, in O(namespace).
+    pub fn namespace_state(&self, layout: &store::Layout) -> Fingerprint {
+        self.shared.namespace_state(layout.name)
     }
 
     /// The manifest record of `key` in the namespace named `namespace`
@@ -1088,6 +1203,39 @@ mod tests {
                 locked_before: Some(true),
             }],
         }
+    }
+
+    #[test]
+    fn bytes_fingerprint_sees_every_flip_and_length_and_streams_files() {
+        let dir = tmpdir("bytes-fingerprint");
+        fs::create_dir_all(&dir).unwrap();
+        let bytes: Vec<u8> = (0..(1u32 << 17) + 13)
+            .map(|i| (i * 7 + i / 251) as u8)
+            .collect();
+        // Blocks of `fingerprint_file` end at 64 KiB; lengths around
+        // that, and around a word, must agree with the one-slice hash.
+        for len in [0, 1, 7, 8, 9, 65_535, 65_536, 65_537, 131_072, bytes.len()] {
+            let path = dir.join("f");
+            fs::write(&path, &bytes[..len]).unwrap();
+            assert_eq!(
+                fingerprint_file(&path).unwrap(),
+                fingerprint_bytes(&bytes[..len]),
+                "{len} bytes"
+            );
+        }
+        let base = fingerprint_bytes(&bytes[..100]);
+        for at in 0..100 {
+            for bit in [0x01, 0x80] {
+                let mut flipped = bytes[..100].to_vec();
+                flipped[at] ^= bit;
+                assert_ne!(fingerprint_bytes(&flipped), base, "byte {at} ^ {bit:#x}");
+            }
+        }
+        // Trailing zeros count, though they pad the last word.
+        assert_ne!(fingerprint_bytes(&[1, 0]), fingerprint_bytes(&[1]));
+        assert_ne!(fingerprint_bytes(&[0; 8]), fingerprint_bytes(&[]));
+        assert!(fingerprint_file(&dir.join("missing")).is_err());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1613,6 +1761,10 @@ mod tests {
             .matches("l0/redis", None, Some("redis")));
         // No filters → everything matches.
         assert!(matrix.matches("kerla/redis/health", None, None));
+        // Rendered outputs read every OS and app: any filter hits them.
+        assert!(store::RENDERED
+            .layout
+            .matches("docs", Some("kerla"), Some("redis")));
     }
 
     #[test]
@@ -2012,6 +2164,7 @@ mod tests {
             ns::PLANS => all(db, &store::PLANS),
             ns::STATIC => all(db, &store::STATIC),
             ns::SUITES => all(db, &store::SUITES),
+            ns::RENDERED => all(db, &store::RENDERED),
             other => panic!("unknown namespace {other}"),
         }
     }
@@ -2051,18 +2204,16 @@ mod tests {
                 let got: Vec<Fingerprint> = ns::ALL.iter().map(|n| served(&db, n)).collect();
                 // A damaged manifest reads as empty or as other state, so
                 // every snapshot is stale and rebuilds from the JSON; a
-                // truncated snapshot is rejected and rebuilt. A flipped
-                // snapshot byte may still decode (the format has no
-                // checksum), but never panics.
-                if truncated || path.ends_with("manifest.json") {
-                    assert_eq!(
-                        got,
-                        expected,
-                        "{} damaged to {} bytes",
-                        path.display(),
-                        bytes.len()
-                    );
-                }
+                // truncated snapshot, or one with a flipped byte, fails
+                // its header checks or its checksum and is rebuilt.
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} {} to {} bytes",
+                    path.display(),
+                    if truncated { "truncated" } else { "flipped" },
+                    bytes.len()
+                );
             }
         }
         fs::remove_dir_all(&dir).ok();

@@ -3,7 +3,7 @@
 //! The manifest is the dependency graph of the incremental sweep engine.
 //! For each artifact the database stores (baseline report, restricted-env
 //! report, matrix cell, static report, plan validation, conformance
-//! suite) it keeps an [`ArtifactRecord`]: the fingerprint of the stored
+//! suite, rendered output) it keeps an [`ArtifactRecord`]: the fingerprint of the stored
 //! *output* and, once a sweep stage has attached provenance, the
 //! fingerprints of the *inputs* that produced it. A stage asks "is this
 //! cell current?" with one map lookup (`Database::classify`) — current
@@ -46,9 +46,12 @@ pub mod ns {
     pub const STATIC: &str = "static";
     /// Conformance suites (`gentests/<os>/<wl>/<app>.json`).
     pub const SUITES: &str = "suites";
+    /// Rendered outputs: the docs set and `compare`'s text
+    /// (`rendered/<name>.json`).
+    pub const RENDERED: &str = "rendered";
 
     /// Every tracked namespace, in display order.
-    pub const ALL: &[&str] = &[BASELINES, ENV, MATRIX, PLANS, STATIC, SUITES];
+    pub const ALL: &[&str] = &[BASELINES, ENV, MATRIX, PLANS, STATIC, SUITES, RENDERED];
 }
 
 /// Provenance record for one stored artifact.

@@ -11,23 +11,28 @@
 //! fingerprint of the namespace state (every `(key, output-fingerprint)`
 //! pair in the manifest) at the time it was written. A reader supplies
 //! the state it expects; anything else — missing file, other format
-//! version, mismatched state, truncation, decode error — yields
-//! [`None`] and the caller rebuilds from the JSON tree. Snapshots are
-//! therefore safe to delete at any time.
+//! version, mismatched state, a payload that fails its checksum,
+//! truncation, decode error — yields [`None`] and the caller rebuilds
+//! from the JSON tree. Snapshots are therefore safe to delete at any
+//! time.
 //!
 //! Layout (all integers little-endian, lengths as LEB128 varints):
 //!
 //! ```text
-//! magic   b"LOUPEBIN"          8 bytes
-//! version u32                  4 bytes   (see FORMAT_VERSION)
-//! state   u128 fingerprint    16 bytes
-//! count   u64                  8 bytes
-//! entry*  key-len, key-utf8, value-len, value-bytes
+//! magic    b"LOUPEBIN"          8 bytes
+//! version  u32                  4 bytes   (see FORMAT_VERSION)
+//! state    u128 fingerprint    16 bytes
+//! checksum u128 fingerprint    16 bytes   (of everything after it)
+//! count    u64                  8 bytes
+//! entry*   key-len, key-utf8, value-len, value-bytes
 //! ```
 //!
-//! The value-length prefix (new in format v2) validates each entry: a
-//! value must decode to exactly its recorded length, or the whole
-//! snapshot is rejected.
+//! The checksum (new in format v3) is [`fingerprint_bytes`] of the
+//! payload, checked before anything is decoded: a flipped byte that
+//! would still decode to a valid but different value is a rebuild, not
+//! wrong data. The value-length prefix (new in v2) validates each
+//! entry: a value must decode to exactly its recorded length, or the
+//! whole snapshot is rejected.
 //!
 //! Values are written as a tagged encoding of the serde [`Value`] tree:
 //! 0 null, 1 false, 2 true, 3 u64 varint, 4 i64 zigzag varint, 5 f64
@@ -41,12 +46,18 @@ use std::path::Path;
 use loupe_core::Fingerprint;
 use serde::{Deserialize, Error, Kind, Scalar, Source, Value};
 
+use crate::fingerprint_bytes;
+
 /// Binary snapshot format version. Bump on any layout change; readers
 /// of other versions treat the file as stale. v2 added the value-length
-/// prefix.
-pub const FORMAT_VERSION: u32 = 2;
+/// prefix, v3 the payload checksum.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"LOUPEBIN";
+
+/// Where the checksummed payload starts: after magic, version, state
+/// and checksum.
+const PAYLOAD: usize = 8 + 4 + 16 + 16;
 
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
@@ -245,13 +256,13 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Option<T> {
 }
 
 /// Reads a snapshot, decoding every entry as a `T`, only if it matches
-/// `expected_state` (and the current format version) exactly and every
-/// entry decodes to exactly its recorded value length. `None` on
-/// anything else, an undecodable entry included — the caller rebuilds
-/// from the JSON tree.
+/// `expected_state` (and the current format version) exactly, its
+/// payload matches its checksum, and every entry decodes to exactly its
+/// recorded value length. `None` on anything else, an undecodable entry
+/// included — the caller rebuilds from the JSON tree.
 pub fn read<T: Deserialize>(path: &Path, expected_state: Fingerprint) -> Option<Vec<(String, T)>> {
     let buf = fs::read(path).ok()?;
-    if buf.len() < 8 + 4 + 16 + 8 || &buf[..8] != MAGIC {
+    if buf.len() < PAYLOAD + 8 || &buf[..8] != MAGIC {
         return None;
     }
     let version = u32::from_le_bytes(buf[8..12].try_into().ok()?);
@@ -259,8 +270,12 @@ pub fn read<T: Deserialize>(path: &Path, expected_state: Fingerprint) -> Option<
     if version != FORMAT_VERSION || Fingerprint::from_u128(state) != expected_state {
         return None;
     }
-    let count = u64::from_le_bytes(buf[28..36].try_into().ok()?);
-    let mut pos = 36;
+    let checksum = u128::from_le_bytes(buf[28..PAYLOAD].try_into().ok()?);
+    if fingerprint_bytes(&buf[PAYLOAD..]) != Fingerprint::from_u128(checksum) {
+        return None;
+    }
+    let count = u64::from_le_bytes(buf[PAYLOAD..PAYLOAD + 8].try_into().ok()?);
+    let mut pos = PAYLOAD + 8;
     // No capacity from `count`: a hostile header must not size an
     // allocation.
     let mut entries = Vec::new();
@@ -291,6 +306,7 @@ pub fn write<'a>(
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     buf.extend_from_slice(&state.to_u128().to_le_bytes());
+    buf.resize(PAYLOAD, 0); // the checksum, filled in below
     buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     let mut scratch = Vec::new();
     for (key, value) in entries {
@@ -301,7 +317,14 @@ pub fn write<'a>(
         put_varint(scratch.len() as u64, &mut buf);
         buf.extend_from_slice(&scratch);
     }
+    seal(&mut buf);
     crate::write_atomic(path, &buf)
+}
+
+/// Writes the checksum of `buf`'s payload into its header.
+fn seal(buf: &mut [u8]) {
+    let checksum = fingerprint_bytes(&buf[PAYLOAD..]).to_u128();
+    buf[28..PAYLOAD].copy_from_slice(&checksum.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -369,30 +392,44 @@ mod tests {
         );
         assert_eq!(read::<Value>(&dir.join("missing.bin"), state), None);
 
-        // Corrupt tail → rejected wholesale.
+        // Corrupt tail → rejected wholesale, by the checksum and, with
+        // the checksum resealed, by the decoder.
         let good = std::fs::read(&path).unwrap();
         let mut bytes = good.clone();
         bytes.push(0xff);
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read::<Value>(&path, state), None);
-
-        // A v1 header (no value-length prefix) reads as stale.
-        let mut bytes = good.clone();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        seal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(
-            read::<Value>(&path, state),
-            None,
-            "pre-v2 snapshots read as stale"
-        );
+        assert_eq!(read::<Value>(&path, state), None);
 
-        // Hostile headers are rejected without a panic: a value-length
-        // prefix that disagrees with the encoded value, one byte short
-        // or one byte long…
-        let len_at = 36 + 1 + "kerla/redis/health".len(); // header, key length, key
+        // Older formats read as stale: v1 (no value-length prefix) and
+        // v2 (no checksum).
+        for old in [1u32, 2] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(read::<Value>(&path, state), None, "v{old} reads as stale");
+        }
+
+        // Every flipped byte is caught: the header's by the magic,
+        // version and state checks, the payload's by the checksum, and
+        // a flipped checksum matches nothing.
+        for at in 0..good.len() {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(read::<Value>(&path, state), None, "byte {at} flipped");
+        }
+
+        // Hostile payloads behind a valid checksum are rejected without
+        // a panic: a value-length prefix that disagrees with the encoded
+        // value, one byte short or one byte long…
+        let len_at = PAYLOAD + 8 + 1 + "kerla/redis/health".len(); // count, key length, key
         for delta in [-1i64, 1] {
             let mut bytes = good.clone();
             bytes[len_at] = (i64::from(bytes[len_at]) + delta) as u8;
+            seal(&mut bytes);
             std::fs::write(&path, &bytes).unwrap();
             assert_eq!(
                 read::<Value>(&path, state),
@@ -402,19 +439,21 @@ mod tests {
         }
         // …and an entry count of u64::MAX with no entries behind it,
         // which must not size an allocation.
-        let mut bytes = good[..36].to_vec();
-        bytes[28..36].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut bytes = good[..PAYLOAD + 8].to_vec();
+        bytes[PAYLOAD..].copy_from_slice(&u64::MAX.to_le_bytes());
+        seal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read::<Value>(&path, state), None);
         // …and an entry of 1M `TAG_SEQ` bytes: sequences nested ~500k
         // deep, which must be refused past `MAX_DEPTH` instead of
         // overflowing the stack.
-        let mut bytes = good[..36].to_vec();
-        bytes[28..36].copy_from_slice(&1u64.to_le_bytes());
+        let mut bytes = good[..PAYLOAD + 8].to_vec();
+        bytes[PAYLOAD..].copy_from_slice(&1u64.to_le_bytes());
         put_varint(1, &mut bytes);
         bytes.push(b'k');
         put_varint(1 << 20, &mut bytes);
         bytes.resize(bytes.len() + (1 << 20), TAG_SEQ);
+        seal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read::<Value>(&path, state), None);
         std::fs::remove_dir_all(&dir).ok();

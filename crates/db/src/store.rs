@@ -6,25 +6,27 @@
 //! binary snapshot. [`Database`](crate::Database)'s generic `put`,
 //! `get`, `keys` and `load_all` work over any descriptor, so the on-disk
 //! layout (tabulated in `docs/ARCHITECTURE.md`) is written down exactly
-//! once: in the six templates below.
+//! once: in the seven templates below.
 //!
 //! A key is a template's `*` segments joined by `/`, so a key maps to
 //! exactly one path and back. OS support specs ([`OS_DIR`]) and the
 //! snapshots ([`INDEX_DIR`]) sit beside the namespaces; together with
 //! the namespaces' top-level directories they are reserved names that
 //! the root-level `baselines` walk skips (no app may be called `env`,
-//! `plans`, `static`, `gentests`, `os` or `index`, and no app inside an
-//! environment may be called `matrix`).
+//! `plans`, `static`, `gentests`, `rendered`, `os` or `index`, and no
+//! app inside an environment may be called `matrix`).
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use loupe_core::{AppReport, LINUX_ENV};
+use loupe_core::{AppReport, Fingerprint, LINUX_ENV};
 use loupe_gentests::ConformanceSuite;
 use loupe_plan::{MatrixCell, PlanValidation};
 use loupe_static::StaticReport;
+use serde::{Deserialize, Serialize};
 
 use crate::{
     baseline_key, env_key, matrix_key, merge_reports, ns, plan_key, static_key, suite_key, Slots,
@@ -159,14 +161,57 @@ pub static SUITES: Namespace<ConformanceSuite> = Namespace {
     slot: Some(|s| &s.suites),
 };
 
+/// What a command rendered from the database, recorded so that a rerun
+/// whose inputs have not changed answers without rendering again. Its
+/// record's inputs are the [`Database::namespace_state`] of every
+/// namespace the output reads, plus the identity of the executable that
+/// rendered it.
+///
+/// [`Database::namespace_state`]: crate::Database::namespace_state
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Rendered {
+    /// Which output (the key): `docs` or `compare`.
+    pub name: String,
+    /// The fingerprint ([`fingerprint_bytes`](crate::fingerprint_bytes))
+    /// of each file of a rendered file set, by relative path.
+    #[serde(default)]
+    pub files: BTreeMap<String, Fingerprint>,
+    /// What the command prints to stdout.
+    #[serde(default)]
+    pub stdout: String,
+    /// What the command prints to stderr.
+    #[serde(default)]
+    pub stderr: String,
+    /// What failed the command's check (for `compare`, the apps that
+    /// break the containment chain); empty when it passes.
+    #[serde(default)]
+    pub failed: Vec<String>,
+}
+
+/// Rendered outputs. A rendering is a pure function of its inputs, so a
+/// new one overwrites the stored one.
+pub static RENDERED: Namespace<Rendered> = Namespace {
+    layout: Layout {
+        name: ns::RENDERED,
+        template: "rendered/*",
+        os: None,
+        app: None,
+    },
+    key: |r| r.name.clone(),
+    merge: None,
+    accept: |_| true,
+    slot: None,
+};
+
 /// Every namespace's layout, in display order (that of [`ns::ALL`]).
-pub static ALL: [&Layout; 6] = [
+pub static ALL: [&Layout; 7] = [
     &BASELINES.layout,
     &ENV.layout,
     &MATRIX.layout,
     &PLANS.layout,
     &STATIC.layout,
     &SUITES.layout,
+    &RENDERED.layout,
 ];
 
 /// The namespace a report is stored in: baselines for full Linux,
@@ -222,8 +267,13 @@ impl Layout {
 
     /// Whether `key` refers to the given OS and/or app. A `None` filter
     /// matches everything; a set filter matches only keys that carry
-    /// that dimension (baselines have no OS, plans no app).
+    /// that dimension (baselines have no OS, plans no app). Keys that
+    /// carry neither (rendered outputs) are derived from every OS and
+    /// app, so every filter matches them.
     pub fn matches(&self, key: &str, os: Option<&str>, app: Option<&str>) -> bool {
+        if self.os.is_none() && self.app.is_none() {
+            return true;
+        }
         let segment = |at: Option<usize>| at.and_then(|i| key.split('/').nth(i));
         os.is_none_or(|want| segment(self.os) == Some(want))
             && app.is_none_or(|want| segment(self.app) == Some(want))

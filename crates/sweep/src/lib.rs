@@ -51,6 +51,7 @@ pub mod gentests;
 pub mod matrix;
 pub mod plans;
 pub(crate) mod pool;
+pub(crate) mod rendered;
 pub mod report;
 pub(crate) mod stage;
 pub mod statics;
@@ -61,8 +62,8 @@ pub use gentests::{
 pub use matrix::{sweep_matrix, MatrixConfig, MatrixSummary, OsWorkloadStats};
 pub use plans::{validate_curated_plans, validate_plans, PlanSweepError};
 pub use statics::{
-    compare, sweep_static, sweep_static_levels, AppComparison, CompareError, Comparison,
-    LevelStats, PlanDelta, StaticSweepSummary, WitnessExample,
+    compare, compare_output, render_compare, sweep_static, sweep_static_levels, AppComparison,
+    CompareError, Comparison, LevelStats, PlanDelta, StaticSweepSummary, WitnessExample,
 };
 
 use std::collections::BTreeMap;

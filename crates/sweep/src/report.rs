@@ -5,7 +5,11 @@
 //! Everything rendered here is a pure function of the database contents
 //! (no timestamps, no environment), so the same measurements always
 //! produce byte-identical documents — the property the `--check` mode
-//! and the determinism tests rely on.
+//! and the determinism tests rely on. It is also what lets [`check`]
+//! skip rendering: [`write`] and [`check`] record the fingerprint of
+//! every rendered file behind the cache gate ([`crate::rendered`]), and
+//! while the database and the executable are unchanged, `check` only
+//! hashes the files on disk against that record.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -13,15 +17,26 @@ use std::path::{Path, PathBuf};
 
 use loupe_apps::Workload;
 use loupe_core::AppReport;
-use loupe_db::{store, Database, DbError};
+use loupe_db::store::{self, Layout, Rendered};
+use loupe_db::{fingerprint_bytes, fingerprint_file, Database, DbError};
 use loupe_gentests::{CaseExpectation, ConformanceSuite};
 use loupe_plan::{os, MatrixCell, OsSpec, PlanValidation, SupportPlan, Tier};
 use loupe_syscalls::SysnoSet;
 
+use crate::rendered::Gate;
 use crate::{matrix, FleetStats};
 
 /// Error margin for "notable" stub/fake impact annotations (Table 2).
 const IMPACT_EPSILON: f64 = 0.03;
+
+/// The namespaces [`render`] reads: the inputs of the docs set's gate.
+static DOCS_READS: [&Layout; 5] = [
+    &store::BASELINES.layout,
+    &store::PLANS.layout,
+    &store::STATIC.layout,
+    &store::MATRIX.layout,
+    &store::SUITES.layout,
+];
 
 /// A rendered documentation set: relative path → file contents.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -53,25 +68,48 @@ impl std::fmt::Display for Drift {
 }
 
 /// On-disk generated pages under `docs_dir` (relative paths) that the
-/// database no longer renders — the single definition of "orphaned"
+/// `rendered` set does not hold — the single definition of "orphaned"
 /// shared by [`write`] (which prunes them) and [`check`] (which flags
 /// them).
-fn orphaned_pages(rendered: &RenderedDocs, docs_dir: &Path) -> Vec<PathBuf> {
+fn orphaned_pages(docs_dir: &Path, rendered: &Rendered) -> Vec<PathBuf> {
     let mut orphans = Vec::new();
     if let Ok(entries) = std::fs::read_dir(docs_dir.join("apps")) {
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
-            if !name.ends_with(".md") {
-                continue;
-            }
-            let rel = PathBuf::from("apps").join(name);
-            if !rendered.files.iter().any(|(r, _)| *r == rel) {
-                orphans.push(rel);
+            if name.ends_with(".md") && !rendered.files.contains_key(&format!("apps/{name}")) {
+                orphans.push(PathBuf::from("apps").join(name));
             }
         }
     }
     orphans.sort();
     orphans
+}
+
+/// The record of a rendered set: each file's fingerprint.
+fn fingerprints(rendered: &RenderedDocs) -> Rendered {
+    Rendered {
+        name: "docs".to_owned(),
+        files: rendered
+            .files
+            .iter()
+            .map(|(rel, contents)| {
+                let rel = rel.to_string_lossy().into_owned();
+                (rel, fingerprint_bytes(contents.as_bytes()))
+            })
+            .collect(),
+        ..Rendered::default()
+    }
+}
+
+/// Whether the files under `docs_dir` are exactly the `recorded` set:
+/// every recorded file hashes to its fingerprint, and no other page
+/// lies under `apps/`.
+fn matches_record(recorded: &Rendered, docs_dir: &Path) -> bool {
+    recorded
+        .files
+        .iter()
+        .all(|(rel, fp)| fingerprint_file(&docs_dir.join(rel)).ok() == Some(*fp))
+        && orphaned_pages(docs_dir, recorded).is_empty()
 }
 
 /// Loads every stored report, grouped by workload (sorted by app name).
@@ -165,9 +203,11 @@ pub fn write(db: &Database, docs_dir: &Path) -> Result<Vec<PathBuf>, DbError> {
         std::fs::write(&path, contents)?;
     }
     // Prune generated pages whose app is no longer in the database.
-    for rel in orphaned_pages(&rendered, docs_dir) {
+    let record = fingerprints(&rendered);
+    for rel in orphaned_pages(docs_dir, &record) {
         std::fs::remove_file(docs_dir.join(&rel))?;
     }
+    Gate::new(db, "docs", &DOCS_READS).record(&record);
     Ok(rendered
         .files
         .iter()
@@ -178,12 +218,27 @@ pub fn write(db: &Database, docs_dir: &Path) -> Result<Vec<PathBuf>, DbError> {
 /// Compares the rendered set against what is on disk under `docs_dir`.
 /// An empty result means the checked-in docs match the database.
 ///
+/// While the database and the executable are unchanged since the last
+/// [`write`] or `check` recorded the set's fingerprints, the files on
+/// disk are hashed against that record and nothing is rendered; any
+/// mismatch, or any other input, renders afresh and reports drift file
+/// by file.
+///
 /// # Errors
 ///
 /// Database I/O and corruption errors (missing/stale files are *drift*,
 /// not errors).
 pub fn check(db: &Database, docs_dir: &Path) -> Result<Vec<Drift>, DbError> {
+    let gate = Gate::new(db, "docs", &DOCS_READS);
+    if gate
+        .recorded()
+        .is_some_and(|recorded| matches_record(&recorded, docs_dir))
+    {
+        return Ok(Vec::new());
+    }
     let rendered = render(db)?;
+    let record = fingerprints(&rendered);
+    gate.record(&record);
     let mut drift = Vec::new();
     for (rel, contents) in &rendered.files {
         let path = docs_dir.join(rel);
@@ -193,7 +248,7 @@ pub fn check(db: &Database, docs_dir: &Path) -> Result<Vec<Drift>, DbError> {
             Err(_) => drift.push(Drift::Missing(rel.clone())),
         }
     }
-    for rel in orphaned_pages(&rendered, docs_dir) {
+    for rel in orphaned_pages(docs_dir, &record) {
         drift.push(Drift::Orphaned(rel));
     }
     Ok(drift)
@@ -1056,6 +1111,7 @@ mod tests {
     use super::*;
     use crate::{Sweep, SweepConfig};
     use loupe_apps::registry;
+    use loupe_core::fingerprint_of;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -1074,6 +1130,43 @@ mod tests {
         let fleet: Vec<_> = registry::detailed().into_iter().take(apps).collect();
         sweep.run(&db, fleet).unwrap();
         (dir, db)
+    }
+
+    /// The executable is an input of the docs' gate: docs an old build
+    /// rendered and recorded pass its own check, and a new build that
+    /// renders them differently renders afresh and reports the drift a
+    /// full render finds.
+    #[test]
+    fn a_changed_executable_renders_afresh() {
+        use crate::rendered::tests::CODE_IDENTITY;
+        let (dir, db) = seeded_db("code-identity", 3);
+        let docs = tmpdir("code-identity-docs");
+        let build = |name: &str| CODE_IDENTITY.with(|c| c.set(Some(fingerprint_of(&name))));
+        build("old");
+        write(&db, &docs).unwrap();
+        // What the old build rendered differs from this code's output
+        // in one file, and its record says so.
+        let page = docs.join("COMPATIBILITY.md");
+        let old_text = format!("{}old build\n", std::fs::read_to_string(&page).unwrap());
+        std::fs::write(&page, &old_text).unwrap();
+        let mut old_record = fingerprints(&render(&db).unwrap());
+        old_record.files.insert(
+            "COMPATIBILITY.md".to_owned(),
+            fingerprint_bytes(old_text.as_bytes()),
+        );
+        Gate::new(&db, "docs", &DOCS_READS).record(&old_record);
+        assert_eq!(check(&db, &docs).unwrap(), vec![]);
+
+        build("new");
+        assert_eq!(
+            check(&db, &docs).unwrap(),
+            vec![Drift::Stale(PathBuf::from("COMPATIBILITY.md"))]
+        );
+        let counted = db.session_cache_stats().namespaces[loupe_db::ns::RENDERED];
+        assert_eq!((counted.hits, counted.stale), (1, 1));
+        CODE_IDENTITY.with(|c| c.set(None));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&docs).ok();
     }
 
     #[test]

@@ -30,11 +30,13 @@ use std::fmt::Write as _;
 
 use loupe_apps::{AppModel, ProgramGraph, Workload};
 use loupe_core::{fingerprint_of, AppReport};
-use loupe_db::{store, Database, DbError};
+use loupe_db::store::{self, Layout, Rendered};
+use loupe_db::{Database, DbError};
 use loupe_plan::{importance_fractions, os, AppRequirement, SupportPlan};
 use loupe_static::{analyze_graph, Level, StaticReport};
 use loupe_syscalls::{Sysno, SysnoSet};
 
+use crate::rendered::Gate;
 use crate::stage::{self, Failed, Outcome, Stage};
 
 /// The outcome of a static sweep.
@@ -397,6 +399,98 @@ pub fn compare(db: &Database) -> Result<Vec<Comparison>, CompareError> {
         return Err(CompareError::NoDynamicReports);
     }
     Ok(out)
+}
+
+/// The namespaces [`compare`] reads: the inputs of its output's gate.
+static COMPARE_READS: [&Layout; 2] = [&store::BASELINES.layout, &store::STATIC.layout];
+
+/// [`compare`] rendered as `loupe compare` prints it, through the cache
+/// gate ([`crate::rendered`]): while the baselines, the static reports
+/// and the executable are unchanged since the last call recorded it,
+/// the recorded text is returned and nothing is decoded.
+///
+/// # Errors
+///
+/// As [`compare`], when the output is rendered afresh.
+pub fn compare_output(db: &Database) -> Result<Rendered, CompareError> {
+    let gate = Gate::new(db, "compare", &COMPARE_READS);
+    if let Some(recorded) = gate.recorded() {
+        return Ok(recorded);
+    }
+    let output = render_compare(&compare(db)?);
+    gate.record(&output);
+    Ok(output)
+}
+
+/// What `loupe compare` prints for `comparisons`: per workload, the
+/// fleet numbers, the mean factors with the containment-chain verdict,
+/// and the per-OS plan waste on stdout; one `CHAIN BROKEN` line per
+/// broken link on stderr; and, as `failed`, the apps that break the
+/// chain, sorted.
+pub fn render_compare(comparisons: &[Comparison]) -> Rendered {
+    let mut stdout = String::new();
+    let mut stderr = String::new();
+    let mut failed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    for c in comparisons {
+        let _ = writeln!(
+            stdout,
+            "{} workload: {} apps; fleet syscalls: {} dynamic ({} required); \
+             static L0/L1/L2/L3: {}/{}/{}/{}",
+            c.workload,
+            c.apps.len(),
+            c.fleet_dynamic_used,
+            c.fleet_dynamic_required,
+            c.fleet_static[0],
+            c.fleet_static[1],
+            c.fleet_static[2],
+            c.fleet_static[3]
+        );
+        let _ = writeln!(
+            stdout,
+            "  mean per-app overestimation: {:.2}x (L0), {:.2}x (L1), {:.2}x (L2), \
+             {:.2}x (L3); chain dynamic ⊆ L3 ⊆ L2 ⊆ L1 ⊆ L0: {}",
+            c.mean_factor[0],
+            c.mean_factor[1],
+            c.mean_factor[2],
+            c.mean_factor[3],
+            if c.invariants_hold() {
+                "holds for every app"
+            } else {
+                "VIOLATED"
+            }
+        );
+        for a in c.apps.iter().filter(|a| !a.chain_ok) {
+            failed.insert(a.app.clone());
+            for (link, missing) in &a.chain_breaks {
+                let _ = writeln!(
+                    stderr,
+                    "  CHAIN BROKEN for {} ({} workload): {link}, coarser side misses {missing}",
+                    a.app, c.workload
+                );
+            }
+        }
+        stdout
+            .push_str("  static-plan waste per OS (extra syscalls implemented vs dynamic plan):\n");
+        for d in &c.plan_deltas {
+            let _ = writeln!(
+                stdout,
+                "    {:<14} implement {:>3} (dyn) vs {:>3} (L3, +{}) vs {:>3} (L0, +{})",
+                d.os,
+                d.dynamic_implemented,
+                d.implemented(Level::L3),
+                d.source_waste(),
+                d.implemented(Level::L0),
+                d.binary_waste()
+            );
+        }
+    }
+    Rendered {
+        name: "compare".to_owned(),
+        stdout,
+        stderr,
+        failed: failed.into_iter().collect(),
+        ..Rendered::default()
+    }
 }
 
 fn compare_workload(

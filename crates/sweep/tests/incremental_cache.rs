@@ -10,6 +10,10 @@
 //!    are byte-identical across worker counts (1, 2, 8) and across
 //!    cold-vs-warm runs, so caching and work-stealing never leak into
 //!    the generated documentation.
+//! 3. **Gated outputs** — a warm `report::check` and
+//!    `compare_output` decode no artifact, and every change to their
+//!    inputs or to the docs on disk gives exactly what a full render
+//!    gives.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -20,6 +24,7 @@ use loupe_apps::{registry, Workload};
 use loupe_core::Fingerprint;
 use loupe_db::{ns, store, Database};
 use loupe_plan::os;
+use loupe_sweep::report::Drift;
 use loupe_sweep::{report, sweep_gentests, GentestsConfig, MatrixConfig, SweepConfig};
 use loupe_syscalls::{Sysno, SysnoSet};
 use proptest::prelude::*;
@@ -268,4 +273,178 @@ fn rendered_docs_identical_across_workers_and_cache_state() {
         assert_eq!(m1, m, "OS_MATRIX.md differs across worker counts");
         assert_eq!(c1, c, "CONFORMANCE.md differs across worker counts");
     }
+}
+
+/// A database holding every namespace the docs and `compare` read
+/// (baselines, static reports, matrix cells, suites, plan validations),
+/// and a docs directory `report::write` rendered from it.
+fn rendered_db(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = tmpdir(tag, 0);
+    let docs = tmpdir(&format!("{tag}-docs"), 0);
+    let db = Database::open(&dir).unwrap();
+    loupe_sweep::sweep_static(&db, fleet(), 2, false).unwrap();
+    let suites = sweep_gentests(&db, fleet(), &cfg(oses(), 2)).unwrap();
+    assert!(suites.is_clean(), "{:?}", suites.disagreements);
+    loupe_sweep::validate_curated_plans(&db, &[Workload::HealthCheck]).unwrap();
+    report::write(&db, &docs).unwrap();
+    (dir, docs)
+}
+
+/// The drift a full render finds, computed here without the gate: what
+/// `report::check` must report.
+fn full_render_drift(db: &Database, docs: &Path) -> Vec<Drift> {
+    let rendered = report::render(db).unwrap();
+    let mut drift = Vec::new();
+    for (rel, contents) in &rendered.files {
+        match std::fs::read_to_string(docs.join(rel)) {
+            Ok(on_disk) if on_disk == *contents => {}
+            Ok(_) => drift.push(Drift::Stale(rel.clone())),
+            Err(_) => drift.push(Drift::Missing(rel.clone())),
+        }
+    }
+    let mut orphans: Vec<PathBuf> = std::fs::read_dir(docs.join("apps"))
+        .unwrap()
+        .map(|entry| PathBuf::from("apps").join(entry.unwrap().file_name()))
+        .filter(|rel| rel.extension().is_some_and(|e| e == "md"))
+        .filter(|rel| !rendered.files.iter().any(|(r, _)| r == rel))
+        .collect();
+    orphans.sort();
+    drift.extend(orphans.into_iter().map(Drift::Orphaned));
+    drift
+}
+
+/// `report::check`, asserted equal to a full render's drift.
+fn checked(db: &Database, docs: &Path) -> Vec<Drift> {
+    let gated = report::check(db, docs).unwrap();
+    assert_eq!(gated, full_render_drift(db, docs));
+    gated
+}
+
+fn rendered_counters(db: &Database) -> (u64, u64, u64) {
+    let c = db
+        .session_cache_stats()
+        .namespaces
+        .get(ns::RENDERED)
+        .copied()
+        .unwrap_or_default();
+    (c.hits, c.misses, c.stale)
+}
+
+/// Warm gated outputs decode nothing: with every artifact they are
+/// rendered from emptied and the binary index gone, a warm
+/// `report::check` still finds the docs current, and `compare_output`
+/// returns its recorded text byte for byte — a gate that decoded an
+/// artifact would fail on the empty file.
+#[test]
+fn warm_gated_outputs_decode_nothing() {
+    let (dir, docs) = rendered_db("rendered-decode-nothing");
+    let compared = {
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(report::check(&db, &docs).unwrap(), vec![]);
+        let compared = loupe_sweep::compare_output(&db).unwrap();
+        assert!(
+            compared.stdout.contains("holds for every app"),
+            "{compared:?}"
+        );
+        assert_eq!(
+            rendered_counters(&db),
+            (1, 1, 0),
+            "docs hit, compare missed"
+        );
+        compared
+    };
+    for layout in [
+        &store::BASELINES.layout,
+        &store::PLANS.layout,
+        &store::STATIC.layout,
+        &store::MATRIX.layout,
+        &store::SUITES.layout,
+    ] {
+        let keys = layout.walk(&dir).unwrap();
+        assert!(!keys.is_empty(), "{} is populated", layout.name);
+        for key in keys {
+            std::fs::write(dir.join(layout.path(&key)), b"").unwrap();
+        }
+    }
+    std::fs::remove_dir_all(dir.join(store::INDEX_DIR)).ok();
+
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(report::check(&db, &docs).unwrap(), vec![]);
+    assert_eq!(loupe_sweep::compare_output(&db).unwrap(), compared);
+    assert_eq!(rendered_counters(&db), (2, 0, 0));
+    assert!(report::render(&db).is_err(), "the artifacts are unreadable");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&docs).ok();
+}
+
+/// Gated outputs are sound: a changed docs byte, an orphaned page, a
+/// matrix cell changed through the API and a static report changed
+/// through the API each give exactly what a full render gives.
+#[test]
+fn gated_outputs_match_a_full_render() {
+    let (dir, docs) = rendered_db("rendered-sound");
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(checked(&db, &docs), vec![]);
+
+    // One changed byte in one file: a gate hit whose files mismatch.
+    let page = docs.join("OS_MATRIX.md");
+    let good = std::fs::read(&page).unwrap();
+    let mut bad = good.clone();
+    bad[good.len() / 2] ^= 0x01;
+    std::fs::write(&page, &bad).unwrap();
+    assert_eq!(
+        checked(&db, &docs),
+        vec![Drift::Stale(PathBuf::from("OS_MATRIX.md"))]
+    );
+    std::fs::write(&page, &good).unwrap();
+
+    // A page no app renders.
+    let orphan = docs.join("apps").join("x.md");
+    std::fs::write(&orphan, "# x\n").unwrap();
+    assert_eq!(
+        checked(&db, &docs),
+        vec![Drift::Orphaned(PathBuf::from("apps/x.md"))]
+    );
+    std::fs::remove_file(&orphan).unwrap();
+    assert_eq!(checked(&db, &docs), vec![]);
+    assert_eq!(rendered_counters(&db).2, 0, "no input changed so far");
+
+    // A matrix cell whose content changes: the gate is stale.
+    let key = db.keys(&store::MATRIX).unwrap()[0].clone();
+    let mut cell = db.get(&store::MATRIX, &key).unwrap().unwrap();
+    let vanilla = cell.vanilla.as_mut().expect("both tiers swept");
+    vanilla.pass = !vanilla.pass;
+    db.put_replacing(&store::MATRIX, &cell).unwrap();
+    let drift = checked(&db, &docs);
+    assert!(
+        drift.contains(&Drift::Stale(PathBuf::from("OS_MATRIX.md"))),
+        "{drift:?}"
+    );
+    assert_eq!(
+        rendered_counters(&db).2,
+        1,
+        "the matrix edit made the docs stale"
+    );
+
+    // A static report that breaks the containment chain: `compare`
+    // renders afresh, CHAIN BROKEN lines and failing app included.
+    let before = loupe_sweep::compare_output(&db).unwrap();
+    assert!(before.failed.is_empty(), "{before:?}");
+    let baseline = db.load_all(&store::BASELINES).unwrap().remove(0);
+    let key = loupe_db::static_key(loupe_static::Level::L0, &baseline.app);
+    let mut l0 = db.get(&store::STATIC, &key).unwrap().unwrap();
+    let used = *baseline.traced.keys().next().unwrap();
+    assert!(
+        l0.syscalls.remove(used),
+        "L0 attributes every traced syscall"
+    );
+    db.put(&store::STATIC, &l0).unwrap();
+    let after = loupe_sweep::compare_output(&db).unwrap();
+    let full = loupe_sweep::render_compare(&loupe_sweep::compare(&db).unwrap());
+    assert_eq!(after, full);
+    assert_eq!(after.failed, vec![baseline.app.clone()]);
+    assert!(after.stderr.contains("CHAIN BROKEN"), "{after:?}");
+    assert_eq!(loupe_sweep::compare_output(&db).unwrap(), full, "recorded");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&docs).ok();
 }
