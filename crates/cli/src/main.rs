@@ -144,6 +144,7 @@ commands:
       --db DIR                        database directory (default: target/loupedb)
       --os <name> | --all-os          target one curated OS, or all 11 (required)
       --app <name>                    restrict to one application
+      --apps a,b,c                    restrict to named apps (or --shard I/N)
       --workload health|bench|suite|all   (default: bench)
       --workers N                     worker threads (default: min(cpus, 16))
       --jobs N                        per-app probe-scheduler workers (default: 1)
@@ -234,17 +235,20 @@ fn help_or_reject_unknown(cmd: &str, args: &[String], known: &[&str]) -> Result<
     }
 }
 
-/// `cmd`'s block of [`USAGE`]: its line and the more deeply indented
-/// lines under it.
+/// `cmd`'s blocks of [`USAGE`] (`cache` has two): each line naming it
+/// and the more deeply indented lines under it.
 fn usage_of(cmd: &str) -> String {
-    let mut lines = USAGE
-        .lines()
-        .skip_while(|line| line.split_whitespace().next() != Some(cmd) || line.starts_with("   "));
-    let head = lines.next().unwrap_or_default();
-    std::iter::once(head)
-        .chain(lines.take_while(|line| line.starts_with("   ")))
-        .collect::<Vec<_>>()
-        .join("\n")
+    let mut inside = false;
+    let mut block = Vec::new();
+    for line in USAGE.lines() {
+        if !line.starts_with("   ") {
+            inside = line.starts_with("  ") && line.split_whitespace().next() == Some(cmd);
+        }
+        if inside {
+            block.push(line);
+        }
+    }
+    block.join("\n")
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -438,6 +442,26 @@ fn select_apps(args: &[String]) -> Result<Vec<Box<dyn loupe_apps::AppModel>>, St
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
+    let known = [
+        "--db",
+        "--workload",
+        "--apps",
+        "--shard",
+        "--workers",
+        "--jobs",
+        "--os",
+        "--all-os",
+        "--tier",
+        "--transfer",
+        "--min-agreement",
+        "--transfer-seed",
+        "--force",
+        "--static",
+        "--validate-plans",
+    ];
+    if help_or_reject_unknown("sweep", args, &known)? {
+        return Ok(());
+    }
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
     let workloads = parse_workloads(args)?;
@@ -669,6 +693,19 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 /// into the db), or — with `--explain` — print and re-verify the
 /// witness path behind one attribution.
 fn cmd_statics(args: &[String]) -> Result<(), String> {
+    let known = [
+        "--db",
+        "--app",
+        "--apps",
+        "--shard",
+        "--level",
+        "--workers",
+        "--force",
+        "--explain",
+    ];
+    if help_or_reject_unknown("statics", args, &known)? {
+        return Ok(());
+    }
     if let Some(pos) = args.iter().position(|a| a == "--explain") {
         let app = args
             .get(pos + 1)
@@ -791,6 +828,23 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gentests(args: &[String]) -> Result<(), String> {
+    let known = [
+        "--db",
+        "--os",
+        "--all-os",
+        "--app",
+        "--apps",
+        "--shard",
+        "--workload",
+        "--workers",
+        "--jobs",
+        "--force",
+        "--check",
+        "--out",
+    ];
+    if help_or_reject_unknown("gentests", args, &known)? {
+        return Ok(());
+    }
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
     let all_os = args.iter().any(|a| a == "--all-os");
@@ -916,6 +970,13 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_cache(args: &[String]) -> Result<(), String> {
+    let known: &[&str] = match args.first().map(String::as_str) {
+        Some("invalidate") => &["--db", "--os", "--app", "--all"],
+        _ => &["--db"],
+    };
+    if help_or_reject_unknown("cache", args, known)? {
+        return Ok(());
+    }
     let sub = args
         .first()
         .filter(|a| !a.starts_with("--"))

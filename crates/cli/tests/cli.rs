@@ -459,3 +459,147 @@ fn serve_help_prints_its_flags_and_starts_nothing() {
     }
     assert!(!stdout.contains("listening on"), "{stdout}");
 }
+
+#[test]
+fn sweeping_commands_reject_unknown_flags_and_answer_help() {
+    let dir = tmpdir("sweeping-flags");
+    let db = dir.join("db");
+    let out = loupe()
+        .args([
+            "gentests",
+            "--os",
+            "kerla",
+            "--workload",
+            "health",
+            "--app",
+            "hello-musl-static",
+            "--db",
+        ])
+        .arg(&db)
+        .output()
+        .expect("spawn loupe");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let before = tree(&db);
+    // `--chek` would turn the suite drift check into a regeneration.
+    let misspelt: [&[&str]; 5] = [
+        &["gentests", "--all-os", "--chek"],
+        &["sweep", "--wrokers", "2"],
+        &["statics", "--levle", "l0"],
+        &["cache", "stats", "--all"],
+        &["cache", "invalidate", "--ap", "redis"],
+    ];
+    for args in misspelt {
+        let out = loupe()
+            .args(args)
+            .arg("--db")
+            .arg(&db)
+            .output()
+            .expect("spawn loupe");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains("unknown flag `--"), "{args:?}: {stderr}");
+        assert_eq!(tree(&db), before, "{args:?} touched the db");
+    }
+
+    // Help is answered before the db is opened, so none is created.
+    let fresh = dir.join("fresh");
+    for (cmd, flags) in [
+        ("sweep", &["--all-os", "--transfer", "--jobs"][..]),
+        ("gentests", &["--check", "--out", "--jobs"][..]),
+        ("statics", &["--level", "--explain"][..]),
+        ("cache", &["cache stats", "cache invalidate", "--all"][..]),
+    ] {
+        let out = loupe()
+            .args([cmd, "--help", "--db"])
+            .arg(&fresh)
+            .output()
+            .expect("spawn loupe");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{cmd} --help: {stdout}");
+        for flag in flags {
+            assert!(stdout.contains(flag), "{flag} missing from: {stdout}");
+        }
+        assert!(!fresh.exists(), "{cmd} --help created the db");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file under `dir` but `manifest.json`, with its bytes and
+/// modification time.
+fn stamped_tree(
+    dir: &std::path::Path,
+) -> std::collections::BTreeMap<PathBuf, (Vec<u8>, std::time::SystemTime)> {
+    tree(dir)
+        .into_iter()
+        .filter(|(path, _)| path != &dir.join("manifest.json"))
+        .map(|(path, bytes)| {
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            (path, (bytes, modified))
+        })
+        .collect()
+}
+
+/// An all-hit pipeline writes nothing but its counters: after the six
+/// CI commands have run twice on a small fleet, a third run leaves
+/// every file under the db but `manifest.json` with the same bytes and
+/// modification time, and `manifest.json` holds only the counters.
+#[test]
+fn warm_pipeline_writes_nothing_but_its_counters() {
+    let dir = tmpdir("warm-writes");
+    let (db, docs) = (dir.join("db"), dir.join("docs"));
+    let fleet = [
+        "--workload",
+        "health",
+        "--apps",
+        "nginx,redis,memcached,sqlite",
+    ];
+    let run = |args: &[&str]| {
+        let out = loupe()
+            .args(args)
+            .arg("--db")
+            .arg(&db)
+            .output()
+            .expect("spawn loupe");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let docs_arg = docs.to_str().unwrap();
+    let pipeline = |first: bool| {
+        run(&[
+            &["sweep", "--transfer", "--static", "--validate-plans"][..],
+            &fleet,
+        ]
+        .concat());
+        run(&[&["sweep", "--all-os"][..], &fleet].concat());
+        run(&[&["gentests", "--all-os"][..], &fleet].concat());
+        run(&[&["gentests", "--all-os", "--check"][..], &fleet].concat());
+        run(&["compare"]);
+        if first {
+            // Render the docs that `report --check` compares with.
+            run(&["report", "--docs", docs_arg]);
+        }
+        run(&["report", "--check", "--docs", docs_arg]);
+    };
+    pipeline(true);
+    pipeline(false);
+    let before = stamped_tree(&db);
+    // Past the filesystem's timestamp granularity, so a rewrite of
+    // identical bytes shows as a new modification time.
+    std::thread::sleep(std::time::Duration::from_millis(1100));
+    pipeline(false);
+    assert_eq!(stamped_tree(&db), before, "a warm pass wrote to the db");
+    let manifest = std::fs::metadata(db.join("manifest.json")).unwrap();
+    assert!(
+        manifest.len() < 4096,
+        "manifest.json is {} bytes",
+        manifest.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

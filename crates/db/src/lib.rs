@@ -24,7 +24,9 @@
 //! * a **cache manifest** ([`manifest`]) recording, per stored artifact,
 //!   the fingerprints of the inputs that produced it — so a sweep stage
 //!   can answer "is this cell current?" with one map lookup, and an edit
-//!   to one OS profile invalidates exactly its downstream cells; and
+//!   to one OS profile invalidates exactly its downstream cells. Each
+//!   namespace's records are one file, read on first use and rewritten
+//!   only when they change; and
 //! * **binary namespace snapshots** ([`snapshot`]) so bulk reads load a
 //!   whole namespace from one compact file instead of re-parsing
 //!   hundreds of JSON entries, rebuilt automatically whenever the
@@ -32,8 +34,8 @@
 //!   reads never use them: [`Database::get`] reads the artifact's JSON
 //!   file, so a write never costs the next read more than one file.
 //!
-//! Both layers are derived and disposable: deleting `manifest.json` or
-//! `index/` costs one rebuild, never correctness.
+//! Both layers are derived and disposable: deleting `manifest.json`,
+//! `manifest/` or `index/` costs one rebuild, never correctness.
 //!
 //! # Examples
 //!
@@ -67,7 +69,10 @@ pub mod snapshot;
 pub mod store;
 
 pub use lock::{FileLock, LOCK_FILE};
-pub use manifest::{ns, ArtifactRecord, CacheCounters, CacheStats, Manifest, MANIFEST_VERSION};
+pub use manifest::{
+    ns, records_path, ArtifactRecord, CacheCounters, CacheStats, Manifest, Records,
+    MANIFEST_VERSION,
+};
 pub use store::Namespace;
 
 /// What the generic store needs of an artifact type: cloneable and
@@ -103,9 +108,9 @@ pub enum Derive {
 /// processes* by an advisory file lock ([`lock`]), so concurrent
 /// read-modify-write saves from two processes can never drop each
 /// other's data. Provenance is still per-process: two independent
-/// `open()`s of the same root keep independent manifests and the last
-/// flush wins (derived data — the cost is re-measurement, never
-/// corruption, since the flush itself is atomic).
+/// `open()`s of the same root keep independent manifests and, per
+/// namespace, the last flush wins (derived data — the cost is
+/// re-measurement, never corruption, since each flush is atomic).
 pub struct Database {
     shared: Arc<Shared>,
 }
@@ -155,12 +160,47 @@ struct Shared {
     slots: Slots,
 }
 
+/// The in-memory manifest: the head of `manifest.json` and the records
+/// of every namespace this handle has asked about.
 struct ManifestState {
-    manifest: Manifest,
-    /// Monotonic per-namespace counters, bumped whenever a namespace's
-    /// content changes — the freshness signal for in-memory snapshots.
-    generations: BTreeMap<String, u64>,
+    head: Manifest,
+    /// Whether `head` changed since it was read or written.
+    head_dirty: bool,
+    /// Records by namespace name, each read from its file on first use.
+    namespaces: BTreeMap<String, NamespaceState>,
+}
+
+/// One namespace's records in memory.
+struct NamespaceState {
+    records: Records,
+    /// Whether `records` changed since they were read or written.
     dirty: bool,
+    /// Monotonic counter, bumped whenever the namespace's content
+    /// changes — the freshness signal for in-memory snapshots.
+    generation: u64,
+}
+
+impl ManifestState {
+    /// The records of `namespace`, read from `root` on first use.
+    fn namespace(&mut self, root: &Path, namespace: &str) -> &mut NamespaceState {
+        if !self.namespaces.contains_key(namespace) {
+            let records = match fs::read_to_string(records_path(root, namespace)) {
+                Ok(text) => Records::from_json(&text),
+                Err(_) => Records::new(),
+            };
+            let state = NamespaceState {
+                records,
+                dirty: false,
+                generation: 0,
+            };
+            self.namespaces.insert(namespace.to_owned(), state);
+        }
+        self.namespaces.get_mut(namespace).expect("just inserted")
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.head_dirty || self.namespaces.values().any(|n| n.dirty)
+    }
 }
 
 /// Both writer guards held together: the in-process mutex and the
@@ -174,7 +214,7 @@ struct WriteGuard<'a> {
 
 impl Shared {
     fn manifest_path(&self) -> PathBuf {
-        self.root.join("manifest.json")
+        self.root.join(manifest::MANIFEST_FILE)
     }
 
     /// Excludes every other database writer — threads of this process
@@ -194,8 +234,14 @@ impl Shared {
         f(&mut state)
     }
 
+    /// Runs `f` on the in-memory state of `namespace`, reading its
+    /// records file first if this handle has not yet.
+    fn with_namespace<R>(&self, namespace: &str, f: impl FnOnce(&mut NamespaceState) -> R) -> R {
+        self.with_manifest(|s| f(s.namespace(&self.root, namespace)))
+    }
+
     fn generation(&self, namespace: &str) -> u64 {
-        self.with_manifest(|s| s.generations.get(namespace).copied().unwrap_or(0))
+        self.with_namespace(namespace, |n| n.generation)
     }
 
     /// Content-addressed state of a namespace: the fingerprint of every
@@ -208,18 +254,13 @@ impl Shared {
     fn namespace_state(&self, namespace: &str) -> Fingerprint {
         #[cfg(test)]
         tests::STATE_COMPUTATIONS.with(|n| n.set(n.get() + 1));
-        self.with_manifest(|s| {
-            let pairs: Vec<(String, String)> = s
-                .manifest
+        self.with_namespace(namespace, |n| {
+            let pairs: Vec<(String, String)> = n
                 .records
-                .get(namespace)
-                .map(|records| {
-                    records
-                        .iter()
-                        .map(|(k, r)| (k.clone(), r.output.to_hex()))
-                        .collect()
-                })
-                .unwrap_or_default();
+                .records
+                .iter()
+                .map(|(k, r)| (k.clone(), r.output.to_hex()))
+                .collect();
             fingerprint_of(&pairs)
         })
     }
@@ -237,9 +278,12 @@ impl Shared {
         provenance: Option<Provenance>,
     ) {
         let output = fingerprint_of(artifact);
-        self.with_manifest(|s| {
-            let records = s.manifest.records.entry(namespace.to_owned()).or_default();
-            let kept = records.get(key).filter(|rec| rec.output == output);
+        self.with_namespace(namespace, |n| {
+            let kept = n
+                .records
+                .records
+                .get(key)
+                .filter(|rec| rec.output == output);
             let (inputs, meta) = match provenance {
                 Some((inputs, meta)) => (Some(inputs), meta),
                 None if kept.is_some() => return,
@@ -254,10 +298,10 @@ impl Shared {
                 return;
             }
             if kept.is_none() {
-                *s.generations.entry(namespace.to_owned()).or_insert(0) += 1;
+                n.generation += 1;
             }
-            records.insert(key.to_owned(), record);
-            s.dirty = true;
+            n.records.records.insert(key.to_owned(), record);
+            n.dirty = true;
         });
     }
 
@@ -270,8 +314,8 @@ impl Shared {
             .iter()
             .map(|(k, v)| (k, fingerprint_of(v)))
             .collect();
-        self.with_manifest(|s| {
-            let records = s.manifest.records.entry(namespace.to_owned()).or_default();
+        self.with_namespace(namespace, |n| {
+            let records = &mut n.records.records;
             let mut fresh: BTreeMap<String, ArtifactRecord> = BTreeMap::new();
             let mut changed = false;
             for (key, output) in outputs {
@@ -291,34 +335,34 @@ impl Shared {
             changed |= fresh.len() != records.len();
             if changed {
                 *records = fresh;
-                *s.generations.entry(namespace.to_owned()).or_insert(0) += 1;
-                s.dirty = true;
+                n.generation += 1;
+                n.dirty = true;
             }
         });
     }
 
+    /// Writes what changed: the records file of every changed
+    /// namespace, then `manifest.json` if its counters changed. The
+    /// artifacts those records describe were written before.
     fn flush_manifest(&self) -> Result<(), DbError> {
-        if self.with_manifest(|s| !s.dirty) {
+        if self.with_manifest(|s| !s.is_dirty()) {
             return Ok(());
         }
         // Writers first, then the manifest mutex (the writer ordering);
         // the atomic replace means a concurrent reader — a serve daemon
         // polling for generation changes — never observes a torn
-        // manifest.
+        // file.
         let _writer = self.lock_writers()?;
-        let path = self.manifest_path();
         self.with_manifest(|s| {
-            if !s.dirty {
-                return Ok(());
+            // Compact, unlike the artifacts: only programs read them.
+            for (namespace, n) in s.namespaces.iter_mut().filter(|(_, n)| n.dirty) {
+                write_compact_locked(&records_path(&self.root, namespace), &n.records)?;
+                n.dirty = false;
             }
-            // Compact, unlike the artifacts: only programs read the
-            // manifest, and every command parses it on open.
-            let text = serde_json::to_string(&s.manifest).map_err(|e| DbError::Corrupt {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            write_atomic(&path, text.as_bytes())?;
-            s.dirty = false;
+            if s.head_dirty {
+                write_compact_locked(&self.manifest_path(), &s.head)?;
+                s.head_dirty = false;
+            }
             Ok(())
         })
     }
@@ -420,6 +464,16 @@ fn to_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<String, DbErro
         path: path.to_path_buf(),
         message: e.to_string(),
     })
+}
+
+/// Writes `value` as compact JSON (the manifest's files); the caller
+/// holds the writer lock.
+fn write_compact_locked<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), DbError> {
+    let text = serde_json::to_string(value).map_err(|e| DbError::Corrupt {
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    })?;
+    Ok(write_atomic(path, text.as_bytes())?)
 }
 
 /// Fingerprints raw bytes, a 64-bit word at a time: the checksum of the
@@ -550,7 +604,7 @@ impl Database {
     pub fn open(root: impl AsRef<Path>) -> Result<Database, DbError> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
-        let manifest = match fs::read_to_string(root.join("manifest.json")) {
+        let head = match fs::read_to_string(root.join(manifest::MANIFEST_FILE)) {
             Ok(text) => Manifest::from_json(&text),
             Err(_) => Manifest::new(),
         };
@@ -558,9 +612,9 @@ impl Database {
             shared: Arc::new(Shared {
                 root,
                 manifest: Mutex::new(ManifestState {
-                    manifest,
-                    generations: BTreeMap::new(),
-                    dirty: false,
+                    head,
+                    head_dirty: false,
+                    namespaces: BTreeMap::new(),
                 }),
                 stats: Mutex::new(CacheStats::default()),
                 write_lock: Mutex::new(()),
@@ -624,6 +678,12 @@ impl Database {
         let merged = stored.map_or(Cow::Borrowed(value), Cow::Owned);
         let path = self.shared.root.join(ns.layout.path(&key));
         write_atomic(&path, to_json(&path, &*merged)?.as_bytes())?;
+        let provenance = provenance.map(|(inputs, mut meta)| {
+            if let Some(facts) = ns.facts {
+                meta.extend(facts(&merged));
+            }
+            (inputs, meta)
+        });
         self.shared
             .record_artifact(ns.layout.name, &key, &*merged, provenance);
         Ok(())
@@ -776,8 +836,8 @@ impl Database {
     /// session's [`CacheStats`]:
     ///
     /// * **hit** — the record is current (its recorded inputs equal
-    ///   `inputs`), `force` is off, and `accept` takes its meta (the hit
-    ///   carries what `accept` read);
+    ///   `inputs`), `force` is off, and `accept` takes it (the hit
+    ///   carries what `accept` read, from its meta or its output);
     /// * **stale** — not current, but a record or a stored file exists;
     /// * **miss** — anything else.
     ///
@@ -789,17 +849,17 @@ impl Database {
         key: &str,
         inputs: &BTreeMap<String, Fingerprint>,
         force: bool,
-        accept: impl FnOnce(&BTreeMap<String, String>) -> Option<H>,
+        accept: impl FnOnce(&ArtifactRecord) -> Option<H>,
     ) -> Decision<H> {
         let namespace = ns.layout.name;
-        let recorded = self.shared.with_manifest(|s| {
-            let rec = s.manifest.records.get(namespace)?.get(key)?;
+        let recorded = self.shared.with_namespace(namespace, |n| {
+            let rec = n.records.records.get(key)?;
             Some(if rec.inputs.as_ref() != Some(inputs) {
                 Decision::Derive(Derive::Stale)
             } else if force {
                 Decision::Derive(Derive::Miss)
             } else {
-                accept(&rec.meta).map_or(Decision::Derive(Derive::Miss), Decision::Hit)
+                accept(rec).map_or(Decision::Derive(Derive::Miss), Decision::Hit)
             })
         });
         let decision = recorded.unwrap_or_else(|| {
@@ -820,7 +880,9 @@ impl Database {
 
     /// Stores a freshly derived artifact and attaches the provenance
     /// that produced it: `inputs`, plus `meta` for later
-    /// [`classify`](Self::classify) calls to accept. After a
+    /// [`classify`](Self::classify) calls to accept (to which the
+    /// namespace adds its facts about the stored value, such as a
+    /// baseline's [`store::REQUIREMENT_META`]). After a
     /// [`Derive::Miss`] the value composes with whatever is stored (as
     /// [`put`](Self::put)); after a [`Derive::Stale`] it replaces it
     /// (as [`put_replacing`](Self::put_replacing)), since content
@@ -855,7 +917,7 @@ impl Database {
     /// (see [`ns`]), if any — read-only.
     pub fn record(&self, namespace: &str, key: &str) -> Option<ArtifactRecord> {
         self.shared
-            .with_manifest(|s| s.manifest.records.get(namespace)?.get(key).cloned())
+            .with_namespace(namespace, |n| n.records.records.get(key).cloned())
     }
 
     /// Force-invalidates provenance: every record whose key matches the
@@ -864,47 +926,37 @@ impl Database {
     /// untouched. Returns `(namespace, records invalidated)` for every
     /// tracked namespace.
     pub fn invalidate_matching(&self, os: Option<&str>, app: Option<&str>) -> Vec<(String, usize)> {
-        self.shared.with_manifest(|s| {
-            let mut out = Vec::new();
-            for layout in store::ALL {
-                let mut count = 0;
-                if let Some(records) = s.manifest.records.get_mut(layout.name) {
-                    for (key, rec) in records.iter_mut() {
-                        if rec.inputs.is_none() || !layout.matches(key, os, app) {
-                            continue;
+        store::ALL
+            .iter()
+            .map(|layout| {
+                let count = self.shared.with_namespace(layout.name, |n| {
+                    let mut count = 0;
+                    for (key, rec) in n.records.records.iter_mut() {
+                        if rec.inputs.is_some() && layout.matches(key, os, app) {
+                            rec.inputs = None;
+                            count += 1;
                         }
-                        rec.inputs = None;
-                        count += 1;
-                        s.dirty = true;
                     }
-                }
-                out.push((layout.name.to_owned(), count));
-            }
-            out
-        })
+                    n.dirty |= count > 0;
+                    count
+                });
+                (layout.name.to_owned(), count)
+            })
+            .collect()
     }
 
     /// Per-namespace `(entries tracked, entries with provenance)` counts.
     pub fn cache_entry_counts(&self) -> Vec<(String, usize, usize)> {
-        self.shared.with_manifest(|s| {
-            ns::ALL
-                .iter()
-                .map(|namespace| {
-                    let (total, with) = s
-                        .manifest
-                        .records
-                        .get(*namespace)
-                        .map(|records| {
-                            (
-                                records.len(),
-                                records.values().filter(|r| r.inputs.is_some()).count(),
-                            )
-                        })
-                        .unwrap_or((0, 0));
-                    ((*namespace).to_owned(), total, with)
+        ns::ALL
+            .iter()
+            .map(|namespace| {
+                self.shared.with_namespace(namespace, |n| {
+                    let records = &n.records.records;
+                    let with = records.values().filter(|r| r.inputs.is_some()).count();
+                    ((*namespace).to_owned(), records.len(), with)
                 })
-                .collect()
-        })
+            })
+            .collect()
     }
 
     /// This session's accumulated cache counters.
@@ -913,7 +965,9 @@ impl Database {
     }
 
     /// Persists this session's counters as the manifest's "last sweep"
-    /// stats (shown by `loupe cache stats`) and flushes the manifest.
+    /// stats (shown by `loupe cache stats`) and flushes the manifest:
+    /// after an all-hit sweep, `manifest.json` is the only file written,
+    /// and only if the counters differ from the stored ones.
     ///
     /// # Errors
     ///
@@ -921,9 +975,9 @@ impl Database {
     pub fn persist_sweep_stats(&self) -> Result<(), DbError> {
         let stats = self.session_cache_stats();
         self.shared.with_manifest(|s| {
-            if s.manifest.last_sweep.as_ref() != Some(&stats) {
-                s.manifest.last_sweep = Some(stats);
-                s.dirty = true;
+            if s.head.last_sweep.as_ref() != Some(&stats) {
+                s.head.last_sweep = Some(stats);
+                s.head_dirty = true;
             }
         });
         self.flush()
@@ -931,11 +985,11 @@ impl Database {
 
     /// The counters persisted by the last completed sweep, if any.
     pub fn last_sweep_stats(&self) -> Option<CacheStats> {
-        self.shared.with_manifest(|s| s.manifest.last_sweep.clone())
+        self.shared.with_manifest(|s| s.head.last_sweep.clone())
     }
 
-    /// Writes the manifest to disk if it changed. Also runs on drop;
-    /// call it explicitly when the error matters.
+    /// Writes the manifest files that changed to disk. Also runs on
+    /// drop; call it explicitly when the error matters.
     ///
     /// # Errors
     ///
@@ -1669,7 +1723,7 @@ mod tests {
         let key = baseline_key(&report.app, report.workload);
         let inputs: BTreeMap<_, _> = [("app".to_owned(), fingerprint_of(&report.app))].into();
         let gate = |db: &Database, inputs: &BTreeMap<String, Fingerprint>, force: bool| {
-            let note = |meta: &BTreeMap<String, String>| Some(meta.get("note").cloned());
+            let note = |rec: &ArtifactRecord| Some(rec.meta.get("note").cloned());
             db.classify(&store::BASELINES, &key, inputs, force, note)
         };
         let (miss, stale) = (
@@ -1714,7 +1768,7 @@ mod tests {
         assert_eq!(gate(&db, &inputs, false), stale);
 
         // A miss commit composes with the stored entry, and its
-        // provenance survives a flush + reopen (manifest.json).
+        // provenance survives a flush + reopen (manifest/baselines.json).
         let stored = baseline(&db, &report.app, report.workload).unwrap();
         db.commit(
             &store::BASELINES,
@@ -1986,7 +2040,8 @@ mod tests {
     fn on_disk_layout_and_manifest_keys_are_pinned() {
         // Relative paths and manifest keys as written by every earlier
         // version of the store: a database populated before must stay
-        // readable, and its manifest must stay all-hit.
+        // readable, and its records must keep their keys. Each
+        // namespace's records live in `manifest/<ns>.json`.
         let dir = tmpdir("golden");
         let db = Database::open(&dir).unwrap();
         let stored = one_of_each(&db);
@@ -2031,6 +2086,16 @@ mod tests {
         }
         let spec = loupe_plan::os::find("kerla").unwrap();
         assert_eq!(db.save_os_spec(&spec).unwrap(), dir.join("os/kerla.csv"));
+        // A flush writes one records file per namespace that changed,
+        // and no `manifest.json`: no counters were persisted.
+        db.flush().unwrap();
+        for (namespace, key, _) in &stored {
+            let path = dir.join(format!("manifest/{namespace}.json"));
+            assert_eq!(path, records_path(&dir, namespace));
+            let records = Records::from_json(&fs::read_to_string(&path).unwrap());
+            let keys: Vec<&String> = records.records.keys().collect();
+            assert_eq!(keys, [key], "{namespace}");
+        }
         // Nothing else lands in the tree: no temp files survive a put.
         let mut files = Vec::new();
         let mut dirs = vec![dir.clone()];
@@ -2052,6 +2117,7 @@ mod tests {
         files.sort();
         let mut want: Vec<String> = golden.iter().map(|g| g.2.clone()).collect();
         want.extend([LOCK_FILE.to_owned(), "os/kerla.csv".to_owned()]);
+        want.extend(golden.iter().map(|g| format!("manifest/{}.json", g.0)));
         want.sort();
         assert_eq!(files, want);
         fs::remove_dir_all(&dir).ok();
@@ -2173,18 +2239,26 @@ mod tests {
     fn damaged_manifest_and_snapshots_fall_back_never_panic() {
         let dir = tmpdir("damaged-derived");
         let db = Database::open(&dir).unwrap();
-        one_of_each(&db);
-        // Bulk loads write `index/<ns>.bin`; dropping the handle writes
-        // the manifest.
+        let stored = one_of_each(&db);
+        // Bulk loads write `index/<ns>.bin`; persisting the counters
+        // writes `manifest.json` and the records files.
         let expected: Vec<Fingerprint> = ns::ALL.iter().map(|n| served(&db, n)).collect();
+        db.persist_sweep_stats().unwrap();
         drop(db);
+        let sorted = |d: &str| {
+            let mut files: Vec<PathBuf> = fs::read_dir(dir.join(d))
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .collect();
+            files.sort();
+            files
+        };
         let mut files = vec![dir.join("manifest.json")];
-        let mut index: Vec<PathBuf> = fs::read_dir(dir.join("index"))
-            .unwrap()
-            .map(|entry| entry.unwrap().path())
-            .collect();
-        index.sort();
+        let records = sorted("manifest");
+        assert_eq!(records.len(), 6, "every namespace that holds an artifact");
+        let index = sorted("index");
         assert_eq!(index.len(), 4, "every snapshotted namespace has its file");
+        files.extend(records);
         files.extend(index);
         let originals: Vec<Vec<u8>> = files.iter().map(|f| fs::read(f).unwrap()).collect();
 
@@ -2202,10 +2276,14 @@ mod tests {
                 fs::write(path, &bytes).unwrap();
                 let db = Database::open(&dir).unwrap();
                 let got: Vec<Fingerprint> = ns::ALL.iter().map(|n| served(&db, n)).collect();
-                // A damaged manifest reads as empty or as other state, so
-                // every snapshot is stale and rebuilds from the JSON; a
+                // A damaged records file reads as empty or as other
+                // state, so its namespace's snapshot is stale and
+                // rebuilds from the JSON, which re-learns its records; a
                 // truncated snapshot, or one with a flipped byte, fails
                 // its header checks or its checksum and is rebuilt.
+                for (namespace, key, _) in &stored {
+                    assert!(db.record(namespace, key).is_some(), "{namespace}/{key}");
+                }
                 assert_eq!(
                     got,
                     expected,

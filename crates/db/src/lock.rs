@@ -2,7 +2,8 @@
 //!
 //! Every database save is a read-modify-write: reports merge with the
 //! stored entry, matrix cells compose tiers, and the manifest flush
-//! rewrites `manifest.json` wholesale. The in-process `write_lock`
+//! rewrites each changed namespace's records file wholesale. The
+//! in-process `write_lock`
 //! mutex serialises writers inside one process; this module extends the
 //! exclusion across processes — a fleet sweep and a serve-side rebuild
 //! (or two concurrent sweeps) can no longer interleave their

@@ -12,24 +12,46 @@
 //! fingerprint and therefore invalidates exactly the cells downstream of
 //! it; everything else stays current.
 //!
-//! The manifest is **derived data**. It lives in `manifest.json` at the
-//! database root; if it is missing, corrupt, or from a different format
-//! version it is treated as empty and the engine degrades to re-measuring
-//! (never to serving stale artifacts): an artifact without provenance is
-//! *not* current. A raw `Database::put` that changes an artifact resets
-//! its record's inputs for the same reason — content that did not come
-//! through a sweep stage's `Database::commit` has unknown provenance
-//! until the stage re-attaches it.
+//! The manifest is split in two, so that a command reads and writes
+//! only what it uses:
+//!
+//! * `manifest.json` at the database root ([`Manifest`]) holds the
+//!   format version and the counters of the last completed sweep;
+//! * `manifest/<ns>.json` ([`Records`], [`records_path`]) holds one
+//!   namespace's records. A handle reads a namespace's file the first
+//!   time it asks about that namespace, and rewrites it only when one
+//!   of its records changed.
+//!
+//! The manifest is **derived data**. If a file is missing, corrupt, or
+//! from a different format version it is treated as empty and the
+//! engine degrades to re-measuring (never to serving stale artifacts):
+//! an artifact without provenance is *not* current. A raw
+//! `Database::put` that changes an artifact resets its record's inputs
+//! for the same reason — content that did not come through a sweep
+//! stage's `Database::commit` has unknown provenance until the stage
+//! re-attaches it.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use loupe_core::Fingerprint;
 use serde::{Deserialize, Serialize};
 
-/// Current manifest format version. Bump when the record shape or the
-/// fingerprint function changes; a version mismatch empties the manifest
-/// (artifacts stay, provenance is re-learned on the next sweep).
-pub const MANIFEST_VERSION: u32 = 1;
+/// Current manifest format version, of `manifest.json` and of every
+/// records file. Bump when the record shape, the file layout or the
+/// fingerprint function changes; a version mismatch empties the file
+/// (artifacts stay, provenance is re-learned on the next sweep). v2
+/// split the records into one file per namespace.
+pub const MANIFEST_VERSION: u32 = 2;
+
+/// The manifest head's file name, at the database root.
+pub const MANIFEST_FILE: &str = "manifest.json";
+
+/// Where the records of `namespace` live: `<root>/manifest/<ns>.json`.
+pub fn records_path(root: &Path, namespace: &str) -> PathBuf {
+    root.join(crate::store::MANIFEST_DIR)
+        .join(format!("{namespace}.json"))
+}
 
 /// Artifact namespaces tracked by the manifest. These mirror the on-disk
 /// layout of the database.
@@ -137,8 +159,9 @@ impl CacheStats {
     }
 }
 
-/// The persisted manifest: provenance records per namespace plus the
-/// cache counters of the last completed sweep.
+/// The persisted manifest head (`manifest.json`): the format version
+/// and the cache counters of the last completed sweep. It is the only
+/// manifest file a warm command rewrites.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
     /// Format version (see [`MANIFEST_VERSION`]).
@@ -146,9 +169,6 @@ pub struct Manifest {
     /// Counters persisted by the last sweep (`loupe cache stats`).
     #[serde(default)]
     pub last_sweep: Option<CacheStats>,
-    /// `namespace → key → record`.
-    #[serde(default)]
-    pub records: BTreeMap<String, BTreeMap<String, ArtifactRecord>>,
 }
 
 impl Manifest {
@@ -157,7 +177,6 @@ impl Manifest {
         Manifest {
             version: MANIFEST_VERSION,
             last_sweep: None,
-            records: BTreeMap::new(),
         }
     }
 
@@ -171,6 +190,35 @@ impl Manifest {
     }
 }
 
+/// One namespace's persisted records (`manifest/<ns>.json`).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Records {
+    /// Format version (see [`MANIFEST_VERSION`]).
+    pub version: u32,
+    /// `key → record`.
+    #[serde(default)]
+    pub records: BTreeMap<String, ArtifactRecord>,
+}
+
+impl Records {
+    /// No records, at the current version.
+    pub fn new() -> Records {
+        Records {
+            version: MANIFEST_VERSION,
+            records: BTreeMap::new(),
+        }
+    }
+
+    /// Parses a records file, treating anything unusable (bad JSON,
+    /// wrong version) as empty, like [`Manifest::from_json`].
+    pub fn from_json(text: &str) -> Records {
+        match serde_json::from_str::<Records>(text) {
+            Ok(r) if r.version == MANIFEST_VERSION => r,
+            _ => Records::new(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,10 +226,10 @@ mod tests {
 
     #[test]
     fn manifest_roundtrips_and_bad_input_is_empty() {
-        let mut m = Manifest::new();
+        let mut records = Records::new();
         let mut inputs = BTreeMap::new();
         inputs.insert("os".to_owned(), fingerprint_of(&"kerla"));
-        m.records.entry(ns::MATRIX.to_owned()).or_default().insert(
+        records.records.insert(
             "kerla/redis/health".to_owned(),
             ArtifactRecord {
                 inputs: Some(inputs),
@@ -189,6 +237,7 @@ mod tests {
                 meta: [("tiers".to_owned(), "both".to_owned())].into(),
             },
         );
+        let mut m = Manifest::new();
         let mut stats = CacheStats::default();
         stats.hit(ns::MATRIX);
         stats.stale(ns::BASELINES);
@@ -196,8 +245,11 @@ mod tests {
 
         let json = serde_json::to_string_pretty(&m).unwrap();
         assert_eq!(Manifest::from_json(&json), m);
+        let records_json = serde_json::to_string(&records).unwrap();
+        assert_eq!(Records::from_json(&records_json), records);
 
         assert_eq!(Manifest::from_json("not json"), Manifest::new());
+        assert_eq!(Records::from_json("not json"), Records::new());
         let future = json.replacen(
             &format!("\"version\": {MANIFEST_VERSION}"),
             "\"version\": 999",
@@ -208,6 +260,13 @@ mod tests {
             Manifest::new(),
             "unknown versions degrade to an empty manifest"
         );
+        let old = records_json.replacen(
+            &format!("\"version\":{MANIFEST_VERSION}"),
+            "\"version\":1",
+            1,
+        );
+        assert_ne!(old, records_json);
+        assert_eq!(Records::from_json(&old), Records::new());
     }
 
     #[test]

@@ -9,22 +9,25 @@
 //! once: in the seven templates below.
 //!
 //! A key is a template's `*` segments joined by `/`, so a key maps to
-//! exactly one path and back. OS support specs ([`OS_DIR`]) and the
-//! snapshots ([`INDEX_DIR`]) sit beside the namespaces; together with
-//! the namespaces' top-level directories they are reserved names that
-//! the root-level `baselines` walk skips (no app may be called `env`,
-//! `plans`, `static`, `gentests`, `rendered`, `os` or `index`, and no
-//! app inside an environment may be called `matrix`).
+//! exactly one path and back. OS support specs ([`OS_DIR`]), the
+//! snapshots ([`INDEX_DIR`]) and the manifest's records files
+//! ([`MANIFEST_DIR`]) sit beside the namespaces; together with the
+//! namespaces' top-level directories they are reserved names that the
+//! root-level `baselines` walk skips (no app may be called `env`,
+//! `plans`, `static`, `gentests`, `rendered`, `os`, `index` or
+//! `manifest`, and no app inside an environment may be called
+//! `matrix`).
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use loupe_core::{AppReport, Fingerprint, LINUX_ENV};
+use loupe_core::{fingerprint_of, AppReport, Fingerprint, LINUX_ENV};
 use loupe_gentests::ConformanceSuite;
-use loupe_plan::{MatrixCell, PlanValidation};
+use loupe_plan::{AppRequirement, MatrixCell, PlanValidation};
 use loupe_static::StaticReport;
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +40,17 @@ use crate::{
 pub const OS_DIR: &str = "os";
 /// Directory of the binary namespace snapshots (`index/<ns>.bin`).
 pub const INDEX_DIR: &str = "index";
+/// Directory of the manifest's records files (`manifest/<ns>.json`).
+pub const MANIFEST_DIR: &str = "manifest";
+
+/// Meta key of a committed baseline: the fingerprint (hex) of the
+/// stored report's [`AppRequirement`], the matrix cells' `requirement`
+/// input.
+pub const REQUIREMENT_META: &str = "requirement";
+/// Meta key of a committed baseline: the fingerprint (hex) of the
+/// stored report's baseline feature map, the matrix cells' `features`
+/// input.
+pub const FEATURES_META: &str = "features";
 
 /// Where a namespace's artifacts live and what their key segments mean:
 /// the type-independent half of a [`Namespace`].
@@ -54,6 +68,9 @@ pub struct Layout {
     pub app: Option<usize>,
 }
 
+/// A record's meta: small facts about its artifact, by name.
+type Meta = BTreeMap<String, String>;
+
 /// One artifact namespace: its [`Layout`] plus the typed policies the
 /// generic store applies to it.
 pub struct Namespace<T> {
@@ -67,6 +84,16 @@ pub struct Namespace<T> {
     pub(crate) accept: fn(&T) -> bool,
     /// The per-process snapshot state, for namespaces with an index.
     pub(crate) slot: Option<fn(&Slots) -> &SnapshotSlot<T>>,
+    /// Facts a committed record's meta carries about the value actually
+    /// stored (after any merge), so later stages can use them without
+    /// loading it.
+    pub(crate) facts: Option<fn(&T) -> Meta>,
+}
+
+impl<T> fmt::Debug for Namespace<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.layout.fmt(f)
+    }
 }
 
 /// Full-Linux baseline reports. Entries recording another execution
@@ -83,6 +110,7 @@ pub static BASELINES: Namespace<AppReport> = Namespace {
     merge: Some(merge_measurements),
     accept: AppReport::is_linux_baseline,
     slot: Some(|s| &s.baselines),
+    facts: Some(baseline_facts),
 };
 
 /// Reports measured on a restricted execution environment.
@@ -97,6 +125,7 @@ pub static ENV: Namespace<AppReport> = Namespace {
     merge: Some(merge_measurements),
     accept: |_| true,
     slot: None,
+    facts: None,
 };
 
 /// Fleet × OS matrix cells. A stored cell is composed with, not
@@ -114,6 +143,7 @@ pub static MATRIX: Namespace<MatrixCell> = Namespace {
     merge: Some(compose_tiers),
     accept: |_| true,
     slot: Some(|s| &s.matrix),
+    facts: None,
 };
 
 /// Plan validations: one deterministic replay of the current plan, so
@@ -129,6 +159,7 @@ pub static PLANS: Namespace<PlanValidation> = Namespace {
     merge: None,
     accept: |_| true,
     slot: None,
+    facts: None,
 };
 
 /// Static-analysis reports, keyed by precision level. Static analysis
@@ -144,6 +175,7 @@ pub static STATIC: Namespace<StaticReport> = Namespace {
     merge: None,
     accept: |_| true,
     slot: Some(|s| &s.statics),
+    facts: None,
 };
 
 /// Conformance suites: a deterministic compilation of the current
@@ -159,6 +191,7 @@ pub static SUITES: Namespace<ConformanceSuite> = Namespace {
     merge: None,
     accept: |_| true,
     slot: Some(|s| &s.suites),
+    facts: None,
 };
 
 /// What a command rendered from the database, recorded so that a rerun
@@ -201,6 +234,7 @@ pub static RENDERED: Namespace<Rendered> = Namespace {
     merge: None,
     accept: |_| true,
     slot: None,
+    facts: None,
 };
 
 /// Every namespace's layout, in display order (that of [`ns::ALL`]).
@@ -234,6 +268,17 @@ fn merge_measurements(stored: &AppReport, fresh: &AppReport) -> AppReport {
     } else {
         fresh.clone()
     }
+}
+
+/// What a committed baseline's meta records: the fingerprints of the
+/// matrix inputs derived from it ([`REQUIREMENT_META`],
+/// [`FEATURES_META`]).
+fn baseline_facts(report: &AppReport) -> Meta {
+    let requirement = fingerprint_of(&AppRequirement::from_report(report));
+    let features = fingerprint_of(&report.baseline.features);
+    [(REQUIREMENT_META, requirement), (FEATURES_META, features)]
+        .map(|(key, fp)| (key.to_owned(), fp.to_hex()))
+        .into()
 }
 
 fn compose_tiers(stored: &MatrixCell, fresh: &MatrixCell) -> MatrixCell {
@@ -291,7 +336,7 @@ impl Layout {
             ALL.iter()
                 .filter_map(|l| l.template.split('/').next())
                 .filter(|first| *first != "*")
-                .chain([OS_DIR, INDEX_DIR])
+                .chain([OS_DIR, INDEX_DIR, MANIFEST_DIR])
                 .collect()
         } else {
             Vec::new()

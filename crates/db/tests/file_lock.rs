@@ -109,20 +109,16 @@ fn concurrent_processes_never_drop_a_tier() {
         );
     }
 
-    // The manifest both processes flushed must still parse (atomic
-    // rename under the lock: torn writes are impossible). A corrupt
-    // file degrades to an empty manifest, so non-empty matrix records
-    // prove the last flush landed whole.
-    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest exists");
-    let parsed = loupe_db::Manifest::from_json(&manifest);
+    // The matrix records file both processes flushed must still parse
+    // (atomic rename under the lock: torn writes are impossible). A
+    // corrupt file degrades to no records, so a full set of matrix
+    // records proves the last flush landed whole.
+    let path = loupe_db::records_path(&dir, loupe_db::ns::MATRIX);
+    let text = std::fs::read_to_string(path).expect("matrix records file exists");
     assert_eq!(
-        parsed
-            .records
-            .get(loupe_db::ns::MATRIX)
-            .map(|r| r.len())
-            .unwrap_or(0),
+        loupe_db::Records::from_json(&text).records.len(),
         APPS,
-        "manifest.json corrupt or incomplete after concurrent flushes"
+        "manifest/matrix.json corrupt or incomplete after concurrent flushes"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

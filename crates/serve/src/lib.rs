@@ -15,9 +15,9 @@
 //! * plan and inverted-syscall queries build their (baselines-backed)
 //!   tables on first touch, so a verdict-only daemon never decodes a
 //!   baseline;
-//! * a watcher polls the manifest and swaps in a freshly built index
-//!   when the database changes — queries see the old or the new
-//!   generation, never a mix.
+//! * a watcher polls the matrix namespace's manifest records and swaps
+//!   in a freshly built index when they change — queries see the old
+//!   or the new generation, never a mix.
 //!
 //! Every command except `stats` resolves through
 //! [`ServeIndex::answer`], the same code `loupe query --offline` runs

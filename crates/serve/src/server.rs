@@ -10,7 +10,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
-use loupe_db::{Database, DbError};
+use loupe_db::{ns, records_path, Database, DbError};
 
 use crate::index::ServeIndex;
 use crate::proto::{self, Request, Response, ServeStats};
@@ -73,14 +73,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// The manifest's length and modification time: one `stat`, where
-/// [`manifest_fingerprint`] reads the whole file. An unchanged stamp
+/// The file the watcher polls: the matrix namespace's records
+/// (`manifest/matrix.json`). [`ServeIndex::build`] reads only matrix
+/// cells (and OS specs), and the file is rewritten (atomically, after
+/// the cells) exactly when a matrix record changed, so warm sweeps that
+/// change nothing trigger no rebuild.
+fn watched(root: &Path) -> PathBuf {
+    records_path(root, ns::MATRIX)
+}
+
+/// The watched file's length and modification time: one `stat`, where
+/// [`records_fingerprint`] reads the whole file. An unchanged stamp
 /// means unchanged bytes, except within a filesystem clock tick: a
 /// second rewrite inside the same tick can keep both length and time.
-/// So a manifest modified less than a second ago has no stamp (`None`
+/// So a file modified less than a second ago has no stamp (`None`
 /// never matches), and the watcher hashes it until it has aged.
-fn manifest_stamp(root: &Path) -> Option<(u64, SystemTime)> {
-    let meta = std::fs::metadata(root.join("manifest.json")).ok()?;
+fn records_stamp(root: &Path) -> Option<(u64, SystemTime)> {
+    let meta = std::fs::metadata(watched(root)).ok()?;
     let modified = meta.modified().ok()?;
     let aged = modified
         .elapsed()
@@ -88,11 +97,11 @@ fn manifest_stamp(root: &Path) -> Option<(u64, SystemTime)> {
     aged.then_some((meta.len(), modified))
 }
 
-/// FNV-1a over the manifest bytes: the database-change signal. The
-/// manifest is rewritten (atomically) on every flush that changed
-/// anything, so its bytes fingerprint the database state.
-fn manifest_fingerprint(root: &Path) -> u64 {
-    let Ok(bytes) = std::fs::read(root.join("manifest.json")) else {
+/// FNV-1a over the watched file's bytes: the database-change signal.
+/// Every stored matrix cell's fingerprint is in it, so its bytes
+/// fingerprint what the index is built from.
+fn records_fingerprint(root: &Path) -> u64 {
+    let Ok(bytes) = std::fs::read(watched(root)) else {
         return 0;
     };
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -264,24 +273,24 @@ impl Server {
             }));
         }
 
-        // Generation watcher: polls the manifest and swaps in a freshly
-        // built index when its bytes change. The bytes are read and
+        // Generation watcher: polls the matrix records and swaps in a
+        // freshly built index when their bytes change. The bytes are read and
         // hashed only when the stamp moved (or is too fresh to trust).
         if !cfg.watch_interval.is_zero() {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || {
-                let mut stamp = manifest_stamp(&shared.root);
-                let mut last = manifest_fingerprint(&shared.root);
+                let mut stamp = records_stamp(&shared.root);
+                let mut last = records_fingerprint(&shared.root);
                 while !shared.shutdown.load(Ordering::Acquire) {
                     std::thread::sleep(cfg.watch_interval);
                     // Stat before reading: a rewrite in between leaves
                     // an old stamp next to new bytes, so the next poll
                     // looks again.
-                    let current_stamp = manifest_stamp(&shared.root);
+                    let current_stamp = records_stamp(&shared.root);
                     if current_stamp.is_some() && current_stamp == stamp {
                         continue;
                     }
-                    let current = manifest_fingerprint(&shared.root);
+                    let current = records_fingerprint(&shared.root);
                     // Rebuild failures (e.g. a writer mid-flight) leave
                     // the previous generation serving; the next poll
                     // retries.

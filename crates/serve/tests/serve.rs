@@ -500,3 +500,54 @@ fn database_edits_swap_whole_generations_never_torn() {
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The daemon watches the matrix namespace's records, the only input of
+/// its index that sweeps write: a warm matrix sweep beside it writes
+/// nothing there and triggers no rebuild, while a matrix cell changed
+/// through the database API is picked up.
+#[test]
+fn warm_sweeps_leave_the_index_and_matrix_edits_rebuild_it() {
+    let dir = tmpdir("warm-watch");
+    populate(&dir);
+    let server = start(
+        &dir,
+        ServeConfig {
+            watch_interval: Duration::from_millis(20),
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = connect(server.local_addr());
+    let mut rebuilds = || {
+        let stats = client.request(&Request {
+            cmd: "stats".to_owned(),
+            ..Request::default()
+        });
+        stats.unwrap().stats.unwrap().rebuilds
+    };
+    let before = rebuilds();
+
+    // A warm sweep through its own handle, counters persisted as the CLI
+    // does; then well over a second of polls, so the watcher has both
+    // hashed the fresh file and trusted its aged stamp.
+    populate(&dir);
+    Database::open(&dir).unwrap().persist_sweep_stats().unwrap();
+    std::thread::sleep(Duration::from_millis(1500));
+    assert_eq!(rebuilds(), before, "a warm sweep rebuilt the index");
+
+    let db = Database::open(&dir).unwrap();
+    let key = loupe_db::matrix_key("kerla", "redis", Workload::HealthCheck);
+    let mut cell = db.get(&store::MATRIX, &key).unwrap().unwrap();
+    cell.linux_pass = !cell.linux_pass;
+    db.put_replacing(&store::MATRIX, &cell).unwrap();
+    db.flush().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while rebuilds() == before {
+        assert!(
+            Instant::now() < deadline,
+            "the edit never rebuilt the index"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}

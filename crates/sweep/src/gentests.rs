@@ -22,14 +22,14 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 
 use loupe_apps::{AppModel, Workload};
-use loupe_core::{fingerprint_of, Fingerprint};
-use loupe_db::{ns, store, Database, DbError};
+use loupe_core::fingerprint_of;
+use loupe_db::{ns, store, ArtifactRecord, Database, DbError};
 use loupe_gentests::ConformanceSuite;
 use loupe_plan::Tier;
 
 use crate::matrix::{sweep_matrix, MatrixConfig};
 use crate::stage::{self, Failed, Outcome, Stage};
-use crate::SweepSummary;
+use crate::{PerMeasurement, SweepSummary};
 
 /// Configuration of a conformance-suite generation sweep.
 #[derive(Debug, Clone, Default)]
@@ -121,33 +121,34 @@ pub fn sweep_gentests(
     // Stage 1: baselines + matrix cells (cache hits when populated).
     let mut summary = sweep_matrix(db, apps, &cfg.matrix)?;
 
-    // One job per (os, stored baseline report). The reports are moved
-    // out of the summary for the jobs' lifetime and restored after.
-    let reports = std::mem::take(&mut summary.reports);
-    // A suite is a pure function of (OS spec, measurement report,
-    // matrix cell). The matrix stage ran first on this handle and
-    // recorded every cell it hit or stored, so the cell fingerprint is
-    // its manifest record's; a cell without one was never stored, and
-    // the suite is generated without it.
-    let report_fps: Vec<Fingerprint> = reports.iter().map(fingerprint_of).collect();
+    // One job per (os, stored baseline report). A suite is a pure
+    // function of (OS spec, measurement report, matrix cell), and every
+    // one of these has its fingerprint in a manifest record: the report's
+    // is its baseline record's output, and the matrix stage ran first on
+    // this handle and recorded every cell it hit or stored. A cell
+    // without a record was never stored, and the suite is generated
+    // without it.
+    let measured = &summary.measurements;
     let mut jobs = Vec::new();
     for os in &cfg.matrix.oses {
         let os_fp = fingerprint_of(os);
-        for (report, &report_fp) in reports.iter().zip(&report_fps) {
+        for (i, m) in measured.iter().enumerate() {
+            let report_fp = m.record.output;
             let mut inputs: BTreeMap<_, _> =
                 [("os".to_owned(), os_fp), ("report".to_owned(), report_fp)].into();
-            let mkey = loupe_db::matrix_key(&os.name, &report.app, report.workload);
+            let mkey = loupe_db::matrix_key(&os.name, &m.app, m.workload);
             if let Some(cell) = db.record(ns::MATRIX, &mkey) {
                 inputs.insert("cell".to_owned(), cell.output);
             }
-            let key = loupe_db::suite_key(&os.name, &report.app, report.workload);
+            let key = loupe_db::suite_key(&os.name, &m.app, m.workload);
             jobs.push(stage::Job {
                 key,
                 inputs,
-                item: (os, report, mkey),
+                item: (os, i, mkey),
             });
         }
     }
+    let reports = PerMeasurement::new(measured);
 
     /// One suite's verdict aggregate — what its manifest meta records.
     struct Verdicts {
@@ -160,11 +161,11 @@ pub fn sweep_gentests(
     // record answers with its aggregate (in check mode too). Only clean
     // suites take this path: a recorded disagreement is always
     // re-derived, so it is reported again.
-    let accept = |meta: &BTreeMap<String, String>| match (
-        meta.get("cases").and_then(|s| s.parse::<usize>().ok()),
-        meta.get("vanilla_pass"),
-        meta.get("planned_pass"),
-        meta.get("disagreements").map(String::as_str),
+    let accept = |rec: &ArtifactRecord| match (
+        rec.meta.get("cases").and_then(|s| s.parse::<usize>().ok()),
+        rec.meta.get("vanilla_pass"),
+        rec.meta.get("planned_pass"),
+        rec.meta.get("disagreements").map(String::as_str),
     ) {
         (Some(cases), Some(vanilla), Some(planned), Some("0")) => Some(Verdicts {
             cases,
@@ -182,9 +183,10 @@ pub fn sweep_gentests(
     // committed — an identical one only heals its provenance — and a
     // changed or new one counts as generated (`None`).
     let outcomes = stage.run(&jobs, accept, |job, why| {
-        let (os, report, mkey) = &job.item;
+        let (os, i, mkey) = &job.item;
         let cell = db.get(&store::MATRIX, mkey)?;
-        let suite = ConformanceSuite::generate(os, report, cell.as_ref());
+        let report = reports.get(*i, || measured[*i].load(db))?;
+        let suite = ConformanceSuite::generate(os, &report, cell.as_ref());
         let identical = !sweep.force && db.get(&store::SUITES, &job.key)?.as_ref() == Some(&suite);
         let verdicts = Verdicts {
             cases: suite.cases.len(),
@@ -211,14 +213,15 @@ pub fn sweep_gentests(
     let mut disagreements = Vec::new();
     let mut slices: BTreeMap<(String, &'static str), SuiteSliceStats> = BTreeMap::new();
     for (outcome, job) in outcomes.into_iter().zip(&jobs) {
-        let (os, report, _) = job.item;
+        let (os, i, _) = job.item;
+        let m = &measured[i];
         let out = match outcome {
             Ok(Outcome::Hit(out)) | Ok(Outcome::Derived((Some(true), out))) => {
                 cached += 1;
                 out
             }
             Ok(Outcome::Derived((Some(false), out))) => {
-                stale.push((os.name.clone(), report.app.clone(), report.workload));
+                stale.push((os.name.clone(), m.app.clone(), m.workload));
                 out
             }
             Ok(Outcome::Derived((None, out))) => {
@@ -226,28 +229,26 @@ pub fn sweep_gentests(
                 out
             }
             Err(failed) => {
-                let what = "suite generation";
-                summary
-                    .failures
-                    .push(failed.into_failure(&report.app, report.workload, what)?);
+                let failure = failed.into_failure(&m.app, m.workload, "suite generation")?;
+                summary.failures.push(failure);
                 continue;
             }
         };
         for (tier, suite_pass, matrix_pass) in out.disagreements {
             disagreements.push(Disagreement {
                 os: os.name.clone(),
-                app: report.app.clone(),
-                workload: report.workload,
+                app: m.app.clone(),
+                workload: m.workload,
                 tier,
                 suite_pass,
                 matrix_pass,
             });
         }
         let slice = slices
-            .entry((os.name.clone(), report.workload.label()))
+            .entry((os.name.clone(), m.workload.label()))
             .or_insert_with(|| SuiteSliceStats {
                 os: os.name.clone(),
-                workload: report.workload,
+                workload: m.workload,
                 suites: 0,
                 cases: 0,
                 vanilla_pass: 0,
@@ -259,7 +260,6 @@ pub fn sweep_gentests(
         slice.planned_pass += usize::from(out.planned_pass);
     }
     drop(jobs);
-    summary.reports = reports;
     summary.cache = db.session_cache_stats();
     summary
         .failures

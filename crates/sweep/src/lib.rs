@@ -40,7 +40,7 @@
 //!     ..SweepConfig::default()
 //! });
 //! let summary = sweep.run(&db, registry::detailed()).unwrap();
-//! assert_eq!(summary.reports.len(), 12);
+//! assert_eq!(summary.reports(&db).unwrap().len(), 12);
 //! // A second sweep over the same fleet is pure cache hits.
 //! let again = sweep.run(&db, registry::detailed()).unwrap();
 //! assert_eq!(again.cached, 12);
@@ -67,13 +67,14 @@ pub use statics::{
 };
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use loupe_apps::{AppModel, Workload};
 use loupe_core::{
     fingerprint_of, transfer_hints, AnalysisConfig, AppReport, Engine, FeatureClass, Fingerprint,
     RunStats,
 };
-use loupe_db::{store, CacheStats, Database, DbError};
+use loupe_db::{store, ArtifactRecord, CacheStats, Database, DbError, Namespace};
 use loupe_plan::{api_importance, AppRequirement, ImportancePoint, OsSpec};
 use loupe_syscalls::{Category, Sysno};
 use stage::{Failed, Outcome, Stage};
@@ -178,6 +179,119 @@ pub struct SweepFailure {
     pub error: String,
 }
 
+/// One `(app, workload)` measurement a sweep answered, as the database
+/// stores it: where it lives and its manifest record. Later stages key
+/// their cells on the record's fingerprints and load the report only
+/// to derive something from it.
+#[derive(Debug, Clone)]
+pub struct Measurement {
+    /// Application name.
+    pub app: String,
+    /// Workload measured.
+    pub workload: Workload,
+    /// Baselines, or `env` for a restricted-environment report.
+    namespace: &'static Namespace<AppReport>,
+    /// The report's key in `namespace`.
+    key: String,
+    /// Its manifest record: `output` is the fingerprint of the stored
+    /// report, and a committed baseline's meta holds the fingerprints
+    /// of its requirement and feature map.
+    pub record: ArtifactRecord,
+}
+
+impl Measurement {
+    /// The measurement stored in `namespace` under `key`, by its
+    /// record.
+    fn recorded(
+        db: &Database,
+        namespace: &'static Namespace<AppReport>,
+        key: String,
+        app: &str,
+        workload: Workload,
+    ) -> Result<Measurement, DbError> {
+        let record = db
+            .record(namespace.layout.name, &key)
+            .ok_or_else(|| not_stored(db, namespace, &key))?;
+        Ok(Measurement {
+            app: app.to_owned(),
+            workload,
+            namespace,
+            key,
+            record,
+        })
+    }
+
+    /// Loads the stored report. The gate answered from the manifest, so
+    /// a file deleted out of band only shows here.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, corrupt entries, and a report that is no longer
+    /// stored.
+    pub fn load(&self, db: &Database) -> Result<AppReport, DbError> {
+        db.get(self.namespace, &self.key)?
+            .ok_or_else(|| not_stored(db, self.namespace, &self.key))
+    }
+
+    /// The matrix inputs taken from the report: the fingerprints of its
+    /// requirement and of its baseline feature map. A committed baseline
+    /// records both in its meta; anything else (a restricted-environment
+    /// report) is loaded to compute them.
+    fn matrix_inputs(&self, db: &Database) -> Result<[Fingerprint; 2], DbError> {
+        let meta = |key| {
+            self.record
+                .meta
+                .get(key)
+                .and_then(|h| Fingerprint::from_hex(h))
+        };
+        if let (Some(req), Some(features)) =
+            (meta(store::REQUIREMENT_META), meta(store::FEATURES_META))
+        {
+            return Ok([req, features]);
+        }
+        let report = self.load(db)?;
+        Ok([
+            fingerprint_of(&AppRequirement::from_report(&report)),
+            fingerprint_of(&report.baseline.features),
+        ])
+    }
+}
+
+fn not_stored<T>(db: &Database, ns: &Namespace<T>, key: &str) -> DbError {
+    DbError::Corrupt {
+        path: db.root().join(ns.layout.path(key)),
+        message: "in the manifest but not stored; run `loupe cache invalidate`".to_owned(),
+    }
+}
+
+/// What the derives of a stage compute from each measurement's stored
+/// report, computed by the first derive that needs it and shared by the
+/// rest (a report feeds one cell per OS).
+pub(crate) struct PerMeasurement<T> {
+    slots: Vec<OnceLock<Arc<T>>>,
+}
+
+impl<T> PerMeasurement<T> {
+    pub fn new(measurements: &[Measurement]) -> Self {
+        PerMeasurement {
+            slots: measurements.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The value for measurement `i`, from `make` on first use.
+    pub fn get(
+        &self,
+        i: usize,
+        make: impl FnOnce() -> Result<T, DbError>,
+    ) -> Result<Arc<T>, DbError> {
+        if let Some(value) = self.slots[i].get() {
+            return Ok(Arc::clone(value));
+        }
+        let value = Arc::new(make()?);
+        Ok(Arc::clone(self.slots[i].get_or_init(|| value)))
+    }
+}
+
 /// The outcome of a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepSummary {
@@ -187,9 +301,9 @@ pub struct SweepSummary {
     pub cached: usize,
     /// Apps whose baseline failed (not persisted).
     pub failures: Vec<SweepFailure>,
-    /// Every (app, workload) report, as stored in the database,
-    /// deterministically ordered by `(app, workload label)`.
-    pub reports: Vec<AppReport>,
+    /// Every (app, workload) measurement answered, deterministically
+    /// ordered by `(app, workload label)`.
+    pub measurements: Vec<Measurement>,
     /// Engine-run accounting summed over this sweep's fresh measurements
     /// — `transfer_skips`/`saved_runs` quantify what hint transfer saved.
     pub runs: RunStats,
@@ -201,9 +315,25 @@ pub struct SweepSummary {
     pub cache: CacheStats,
 }
 
-/// A baseline job's report, flagged when measured in this sweep, or
-/// its failure.
-type Measured = Result<(AppReport, bool), SweepFailure>;
+impl SweepSummary {
+    /// Every (app, workload) report, as stored in the database, in the
+    /// order of [`measurements`](Self::measurements), loaded now.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, corrupt entries, and a report that is no longer
+    /// stored.
+    pub fn reports(&self, db: &Database) -> Result<Vec<AppReport>, DbError> {
+        self.measurements.iter().map(|m| m.load(db)).collect()
+    }
+}
+
+/// A baseline job's measurement, with the engine runs it cost when it
+/// was measured in this sweep, or its failure.
+type Measured = Result<(Measurement, Option<RunStats>), SweepFailure>;
+
+/// Per-workload transfer hints.
+type Hints = BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>>;
 
 /// The concurrent fleet-sweep driver.
 #[derive(Debug, Clone, Default)]
@@ -250,36 +380,18 @@ impl Sweep {
             // empty summary on both paths; the seed clamp below needs a
             // non-empty app list.
             None | Some(_) if apps.is_empty() => Vec::new(),
-            None => self.run_pass(db, &apps, &jobs_for(0..apps.len()), &BTreeMap::new())?,
+            None => self.run_pass(db, &apps, &jobs_for(0..apps.len()), None)?,
             Some(transfer) => {
                 // Pass 1: measure the seed subset in full.
                 let seed = transfer.seed.clamp(1, apps.len());
-                let mut outcomes =
-                    self.run_pass(db, &apps, &jobs_for(0..seed), &BTreeMap::new())?;
-                // Conservative per-workload hints from the seed reports
-                // (cached seed entries teach too — they are stored
-                // full measurements of the same fleet).
-                let mut hints: BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>> = BTreeMap::new();
-                for &workload in &self.cfg.workloads {
-                    let teachers: Vec<AppReport> = outcomes
-                        .iter()
-                        .flatten()
-                        .filter(|(r, _)| r.workload == workload)
-                        .map(|(r, _)| r.clone())
-                        .collect();
-                    let mut workload_hints = transfer_hints(&teachers, transfer.min_agreement);
-                    // Only *avoidable* classes transfer: the combined
-                    // confirmation run exercises them, and the engine's
-                    // bisection revokes (re-measures) a wrong one. A
-                    // transferred "required" class is never interposed,
-                    // so a wrong one — an app whose `read` is fakeable
-                    // while the whole seed requires it — would silently
-                    // survive and change the final classification.
-                    workload_hints.retain(|_, class| class.is_avoidable());
-                    hints.insert(workload, workload_hints);
-                }
-                // Pass 2: the rest of the fleet rides on the hints.
-                outcomes.extend(self.run_pass(db, &apps, &jobs_for(seed..apps.len()), &hints)?);
+                let mut outcomes = self.run_pass(db, &apps, &jobs_for(0..seed), None)?;
+                // Pass 2: the rest of the fleet rides on hints from the
+                // seed reports (cached seed entries teach too — they are
+                // stored full measurements of the same fleet).
+                let teachers: Vec<Measurement> =
+                    outcomes.iter().flatten().map(|(m, _)| m.clone()).collect();
+                let rest = jobs_for(seed..apps.len());
+                outcomes.extend(self.run_pass(db, &apps, &rest, Some((&teachers, transfer)))?);
                 outcomes
             }
         };
@@ -288,28 +400,28 @@ impl Sweep {
             analyzed: 0,
             cached: 0,
             failures: Vec::new(),
-            reports: Vec::new(),
+            measurements: Vec::new(),
             runs: RunStats::default(),
             matrix: None,
             cache: CacheStats::default(),
         };
         for outcome in outcomes {
             match outcome {
-                Ok((r, true)) => {
+                Ok((m, Some(runs))) => {
                     summary.analyzed += 1;
-                    summary.runs.absorb(&r.stats);
-                    summary.reports.push(r);
+                    summary.runs.absorb(&runs);
+                    summary.measurements.push(m);
                 }
-                Ok((r, false)) => {
+                Ok((m, None)) => {
                     summary.cached += 1;
-                    summary.reports.push(r);
+                    summary.measurements.push(m);
                 }
                 Err(f) => summary.failures.push(f),
             }
         }
         summary
-            .reports
-            .sort_by_key(|r| (r.app.clone(), r.workload.label()));
+            .measurements
+            .sort_by(|a, b| (&a.app, a.workload.label()).cmp(&(&b.app, b.workload.label())));
         summary
             .failures
             .sort_by_key(|f| (f.app.clone(), f.workload.label()));
@@ -317,17 +429,48 @@ impl Sweep {
         Ok(summary)
     }
 
+    /// Conservative per-workload hints from the `teachers`' stored
+    /// reports.
+    fn hints(
+        &self,
+        db: &Database,
+        teachers: &[Measurement],
+        transfer: TransferConfig,
+    ) -> Result<Hints, DbError> {
+        let mut hints = Hints::new();
+        for &workload in &self.cfg.workloads {
+            let reports = teachers
+                .iter()
+                .filter(|m| m.workload == workload)
+                .map(|m| m.load(db))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut workload_hints = transfer_hints(&reports, transfer.min_agreement);
+            // Only *avoidable* classes transfer: the combined
+            // confirmation run exercises them, and the engine's
+            // bisection revokes (re-measures) a wrong one. A
+            // transferred "required" class is never interposed,
+            // so a wrong one — an app whose `read` is fakeable
+            // while the whole seed requires it — would silently
+            // survive and change the final classification.
+            workload_hints.retain(|_, class| class.is_avoidable());
+            hints.insert(workload, workload_hints);
+        }
+        Ok(hints)
+    }
+
     /// Runs one pass of baseline jobs through the cache gate, returning
-    /// one [`Measured`] per job in job order. A hit loads its stored
-    /// report (the sweep hands every report on); a stale or missing
-    /// entry is measured with `hints` and committed. A job whose app
-    /// model *panics* becomes a per-app [`SweepFailure`] naming the app.
+    /// one [`Measured`] per job in job order. A hit is answered by its
+    /// manifest record and reads nothing; a stale or missing entry is
+    /// measured and committed, with hints from `teachers` when given
+    /// (built, from their stored reports, by the first measurement that
+    /// needs them). A job whose app model *panics* becomes a per-app
+    /// [`SweepFailure`] naming the app.
     fn run_pass(
         &self,
         db: &Database,
         apps: &[Box<dyn AppModel>],
         jobs: &[(usize, Workload)],
-        hints: &BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>>,
+        teachers: Option<(&[Measurement], TransferConfig)>,
     ) -> Result<Vec<Measured>, DbError> {
         let jobs: Vec<stage::Job<(usize, Workload)>> = jobs
             .iter()
@@ -338,41 +481,63 @@ impl Sweep {
             })
             .collect();
         let stage = Stage::new(db, &store::BASELINES, self.cfg.workers, self.cfg.force);
-        let empty = BTreeMap::new();
-        let outcomes = stage.run(&jobs, stage::any, |job, why| {
-            let (a, workload) = job.item;
-            let engine = Engine::new(self.cfg.analysis.clone());
-            let workload_hints = hints.get(&workload).unwrap_or(&empty);
-            let report = engine
-                .analyze_with_hints(apps[a].as_ref(), workload, workload_hints)
-                .map_err(|e| Failed::Job(e.to_string()))?;
-            if report.is_linux_baseline() {
-                stage.commit(job, why, &report, BTreeMap::new())?;
-            } else {
+        let (no_hints, built) = (Hints::new(), OnceLock::new());
+        let outcomes = stage.run(
+            &jobs,
+            |rec| Some(rec.clone()),
+            |job, why| {
+                let (a, workload) = job.item;
+                let hints = match (teachers, built.get()) {
+                    (None, _) => &no_hints,
+                    (Some(_), Some(hints)) => hints,
+                    (Some((teachers, transfer)), None) => {
+                        let hints = self.hints(db, teachers, transfer)?;
+                        built.get_or_init(|| hints)
+                    }
+                };
+                let engine = Engine::new(self.cfg.analysis.clone());
+                let empty = BTreeMap::new();
+                let workload_hints = hints.get(&workload).unwrap_or(&empty);
+                let report = engine
+                    .analyze_with_hints(apps[a].as_ref(), workload, workload_hints)
+                    .map_err(|e| Failed::Job(e.to_string()))?;
+                if report.is_linux_baseline() {
+                    stage.commit(job, why, &report, BTreeMap::new())?;
+                    return Ok((&store::BASELINES, job.key.clone(), report.stats));
+                }
                 // A restricted-environment measurement is stored beside
                 // the baselines, never as one (and carries no
                 // provenance: it never answers a baseline job).
                 db.put(&store::ENV, &report)?;
-            }
-            Ok(report)
-        });
+                let key = loupe_db::env_key(&report.env, &report.app, workload);
+                Ok((&store::ENV, key, report.stats))
+            },
+        );
         outcomes
             .into_iter()
             .zip(&jobs)
             .map(|(outcome, job)| {
                 let (a, workload) = job.item;
+                let app = apps[a].name();
                 Ok(match outcome {
-                    Ok(Outcome::Hit(())) => Ok((stage.stored(job)?, false)),
-                    // A forced re-measure merged conservatively with the
-                    // stored entry: report what the database now holds,
-                    // so summaries match later reads.
-                    Ok(Outcome::Derived(r)) if self.cfg.force && r.is_linux_baseline() => {
-                        Ok((stage.stored(job)?, true))
-                    }
-                    Ok(Outcome::Derived(r)) => Ok((r, true)),
-                    Err(failed) => {
-                        Err(failed.into_failure(apps[a].name(), workload, "app model")?)
-                    }
+                    Ok(Outcome::Hit(record)) => Ok((
+                        Measurement {
+                            app: app.to_owned(),
+                            workload,
+                            namespace: &store::BASELINES,
+                            key: job.key.clone(),
+                            record,
+                        },
+                        None,
+                    )),
+                    // The record describes what the database now holds (a
+                    // forced re-measure merged with the stored entry), so
+                    // summaries match later reads.
+                    Ok(Outcome::Derived((ns, key, runs))) => Ok((
+                        Measurement::recorded(db, ns, key, app, workload)?,
+                        Some(runs),
+                    )),
+                    Err(failed) => Err(failed.into_failure(app, workload, "app model")?),
                 })
             })
             .collect()
@@ -551,7 +716,7 @@ mod tests {
         let second = health_sweep(2).run(&db, apps).unwrap();
         assert_eq!(second.analyzed, 0, "second sweep is pure cache hits");
         assert_eq!(second.cached, 4);
-        assert_eq!(first.reports, second.reports);
+        assert_eq!(first.reports(&db).unwrap(), second.reports(&db).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -565,7 +730,10 @@ mod tests {
 
         let serial = health_sweep(1).run(&db_a, apps()).unwrap();
         let parallel = health_sweep(6).run(&db_b, apps()).unwrap();
-        assert_eq!(serial.reports, parallel.reports);
+        assert_eq!(
+            serial.reports(&db_a).unwrap(),
+            parallel.reports(&db_b).unwrap()
+        );
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
     }
@@ -576,6 +744,8 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let apps = || -> Vec<_> { registry::detailed().into_iter().take(1).collect() };
         let first = health_sweep(1).run(&db, apps()).unwrap();
+        // Loaded now: after the forced sweep the store holds the merge.
+        let first = first.reports(&db).unwrap();
         let forced = Sweep::new(SweepConfig {
             workloads: vec![Workload::HealthCheck],
             workers: 1,
@@ -586,11 +756,9 @@ mod tests {
         .unwrap();
         assert_eq!(forced.analyzed, 1);
         // Traced counts accumulate under the conservative merge.
-        let s = *first.reports[0].traced.keys().next().unwrap();
-        assert_eq!(
-            forced.reports[0].traced[&s],
-            first.reports[0].traced[&s] * 2
-        );
+        let s = *first[0].traced.keys().next().unwrap();
+        let merged = forced.reports(&db).unwrap();
+        assert_eq!(merged[0].traced[&s], first[0].traced[&s] * 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -686,7 +854,7 @@ mod tests {
         .run(&db, app())
         .unwrap();
         assert_eq!(restricted.analyzed, 1);
-        assert_eq!(restricted.reports[0].env, "mid-plan");
+        assert_eq!(restricted.reports(&db).unwrap()[0].env, "mid-plan");
 
         // A Linux sweep over the same (app, workload) must re-measure:
         // the restricted entry is not a Linux baseline.
@@ -696,7 +864,7 @@ mod tests {
             "restricted-env entry must not be a cache hit"
         );
         assert_eq!(linux.cached, 0);
-        assert_eq!(linux.reports[0].env, "linux");
+        assert_eq!(linux.reports(&db).unwrap()[0].env, "linux");
         // Both measurements coexist under their own namespaces.
         assert!(db
             .get(
@@ -729,7 +897,7 @@ mod tests {
         })
         .run(&db, Vec::new())
         .unwrap();
-        assert!(summary.reports.is_empty());
+        assert!(summary.measurements.is_empty());
         assert_eq!(summary.analyzed + summary.cached, 0);
         assert!(summary.failures.is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -760,8 +928,12 @@ mod tests {
         .run(&db_hint, registry::dataset())
         .unwrap();
 
-        assert_eq!(full.reports.len(), hinted.reports.len());
-        for (f, h) in full.reports.iter().zip(&hinted.reports) {
+        let (full_reports, hinted_reports) = (
+            full.reports(&db_full).unwrap(),
+            hinted.reports(&db_hint).unwrap(),
+        );
+        assert_eq!(full_reports.len(), hinted_reports.len());
+        for (f, h) in full_reports.iter().zip(&hinted_reports) {
             assert_eq!(f.app, h.app);
             assert_eq!(f.classes, h.classes, "classes drifted for {}", f.app);
             assert_eq!(f.conflicts, h.conflicts, "conflicts drifted for {}", f.app);
@@ -791,7 +963,7 @@ mod tests {
         let dir = tmpdir("agg");
         let db = Database::open(&dir).unwrap();
         let summary = health_sweep(0).run(&db, registry::detailed()).unwrap();
-        let stats = FleetStats::aggregate(Workload::HealthCheck, &summary.reports);
+        let stats = FleetStats::aggregate(Workload::HealthCheck, &summary.reports(&db).unwrap());
         assert_eq!(stats.apps, 12);
         assert!(!stats.rows.is_empty());
         for row in &stats.rows {

@@ -25,13 +25,13 @@
 use std::collections::BTreeMap;
 
 use loupe_apps::{AppModel, Workload};
-use loupe_core::{fingerprint_of, AppReport, Fingerprint, TestScript};
-use loupe_db::{ns, store, Database, DbError, Derive};
+use loupe_core::{fingerprint_of, TestScript};
+use loupe_db::{ns, store, ArtifactRecord, Database, DbError, Derive};
 use loupe_plan::{measure_cell, os, AppRequirement, MatrixCell, OsSpec, Tier};
 use loupe_syscalls::Sysno;
 
 use crate::stage::{self, Failed, Outcome, Stage};
-use crate::{Sweep, SweepConfig, SweepSummary};
+use crate::{PerMeasurement, Sweep, SweepConfig, SweepSummary};
 
 /// Configuration of a matrix sweep.
 #[derive(Debug, Clone)]
@@ -181,58 +181,59 @@ pub fn sweep_matrix(
     let sweep = Sweep::new(cfg.sweep.clone());
     let mut summary = sweep.run(db, apps)?;
 
-    // The requirement of every app with a stored baseline, per workload,
-    // and the fingerprints of it and of the baseline feature map the
-    // cells are evaluated against — computed once per app, not per job:
-    // a cell's inputs are the cross product of per-OS and per-app
-    // fingerprints. Models are re-resolved from the registry by name
-    // inside each job: the boxed inputs were consumed by the baseline
-    // sweep.
-    let reqs: Vec<(AppRequirement, &AppReport, [Fingerprint; 2])> = summary
-        .reports
+    // One cell per (OS, app with a stored baseline, workload). A cell's
+    // inputs are the cross product of per-OS and per-measurement
+    // fingerprints; the latter (the requirement and the baseline feature
+    // map the cell is evaluated against) come from the baseline's
+    // manifest record, so deciding a cell reads no report. Models are
+    // re-resolved from the registry by name inside each job: the boxed
+    // inputs were consumed by the baseline sweep.
+    let measured = &summary.measurements;
+    let fps = measured
         .iter()
-        .map(|report| {
-            let req = AppRequirement::from_report(report);
-            let fps = [
-                fingerprint_of(&req),
-                fingerprint_of(&report.baseline.features),
-            ];
-            (req, report, fps)
-        })
-        .collect();
+        .map(|m| m.matrix_inputs(db))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut jobs = Vec::new();
     for os in &cfg.oses {
         let os_fp = fingerprint_of(os);
-        for (req, report, [req_fp, features_fp]) in &reqs {
+        for (i, (m, [req_fp, features_fp])) in measured.iter().zip(&fps).enumerate() {
             let inputs = [
                 ("os", os_fp),
                 ("requirement", *req_fp),
                 ("features", *features_fp),
             ];
             jobs.push(stage::Job {
-                key: loupe_db::matrix_key(&os.name, &req.app, report.workload),
+                key: loupe_db::matrix_key(&os.name, &m.app, m.workload),
                 inputs: inputs.map(|(role, fp)| (role.to_owned(), fp)).into(),
-                item: (os, req, *report),
+                item: (os, i),
             });
         }
     }
+    let loaded = PerMeasurement::new(measured);
 
     let script = TestScript::default();
     let measures_both = cfg.tier != Some(Tier::Vanilla);
     // A current cell satisfies the sweep only when its recorded tiers
     // cover every tier this configuration measures.
-    let accept = |meta: &BTreeMap<String, String>| {
-        let tiers = meta.get("tiers");
+    let accept = |rec: &ArtifactRecord| {
+        let tiers = rec.meta.get("tiers");
         tiers
             .is_some_and(|t| t == "both" || !measures_both)
             .then_some(())
     };
     let stage = Stage::new(db, &store::MATRIX, cfg.sweep.workers, cfg.sweep.force);
     let outcomes = stage.run(&jobs, accept, |job, why| {
-        let (os, req, report) = job.item;
-        let Some(model) = loupe_apps::registry::find(&req.app) else {
-            return Err(Failed::Job(format!("no runnable model for `{}`", req.app)));
+        let (os, i) = job.item;
+        let app = &measured[i].app;
+        let Some(model) = loupe_apps::registry::find(app) else {
+            return Err(Failed::Job(format!("no runnable model for `{app}`")));
         };
+        let loaded = loaded.get(i, || {
+            let report = measured[i].load(db)?;
+            let req = AppRequirement::from_report(&report);
+            Ok((report, req))
+        })?;
+        let (report, req) = &*loaded;
         // The baseline sweep only stores reports whose baseline
         // passed, so every app reaching this point passed on full
         // Linux.
@@ -269,11 +270,9 @@ pub fn sweep_matrix(
             Ok(Outcome::Hit(())) => matrix.cached += 1,
             Ok(Outcome::Derived(())) => matrix.analyzed += 1,
             Err(failed) => {
-                let (_, req, report) = job.item;
-                let what = "matrix measurement";
-                summary
-                    .failures
-                    .push(failed.into_failure(&req.app, report.workload, what)?);
+                let m = &measured[job.item.1];
+                let failure = failed.into_failure(&m.app, m.workload, "matrix measurement")?;
+                summary.failures.push(failure);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The one runner behind the five incremental sweep stages. A stage
 //! supplies its jobs — each keyed by the artifact it produces and the
 //! fingerprints of that artifact's inputs — a predicate over a current
-//! record's meta, and a derive function. The runner fans the jobs out on
+//! record, and a derive function. The runner fans the jobs out on
 //! the worker pool and asks the cache gate ([`Database::classify`]) per
 //! job: a hit is answered from the manifest record alone; a stale or
 //! missed job is derived and stored through [`Stage::commit`]. A
@@ -12,7 +12,7 @@ use std::fmt;
 
 use loupe_apps::Workload;
 use loupe_core::Fingerprint;
-use loupe_db::{Artifact, Database, DbError, Decision, Derive, Namespace};
+use loupe_db::{Artifact, ArtifactRecord, Database, DbError, Decision, Derive, Namespace};
 
 use crate::{pool, SweepFailure};
 
@@ -25,7 +25,7 @@ pub(crate) struct Job<J> {
     pub item: J,
 }
 
-/// What a hit's meta yielded, or what the derive returned.
+/// What a hit's record yielded, or what the derive returned.
 pub(crate) enum Outcome<H, O> {
     Hit(H),
     Derived(O),
@@ -84,9 +84,9 @@ impl<E: fmt::Display> Failed<E> {
     }
 }
 
-/// The meta predicate of stages that record none: every current record
-/// is a hit.
-pub(crate) fn any(_: &Meta) -> Option<()> {
+/// The record predicate of stages that record no meta: every current
+/// record is a hit.
+pub(crate) fn any(_: &ArtifactRecord) -> Option<()> {
     Some(())
 }
 
@@ -111,13 +111,13 @@ impl<'a, T: Artifact> Stage<'a, T> {
     }
 
     /// Runs `jobs` through the gate, one result per job in job order.
-    /// `accept` reads a current record's meta: `Some` is a hit, `None`
-    /// (the meta does not cover what the stage needs) a derive, which is
-    /// told why it runs.
+    /// `accept` reads a current record: `Some` is a hit, `None` (its
+    /// meta does not cover what the stage needs) a derive, which is told
+    /// why it runs.
     pub fn run<J: Sync, H: Send, O: Send, E: Send>(
         &self,
         jobs: &[Job<J>],
-        accept: impl Fn(&Meta) -> Option<H> + Sync,
+        accept: impl Fn(&ArtifactRecord) -> Option<H> + Sync,
         derive: impl Fn(&Job<J>, Derive) -> Result<O, Failed<E>> + Sync,
     ) -> Vec<Result<Outcome<H, O>, Failed<E>>> {
         pool::run_jobs(self.workers, jobs, |job| {
@@ -153,9 +153,6 @@ impl<'a, T: Artifact> Stage<'a, T> {
     pub fn stored<J>(&self, job: &Job<J>) -> Result<T, DbError> {
         self.db
             .get(self.ns, &job.key)?
-            .ok_or_else(|| DbError::Corrupt {
-                path: self.db.root().join(self.ns.layout.path(&job.key)),
-                message: "in the manifest but not stored; run `loupe cache invalidate`".to_owned(),
-            })
+            .ok_or_else(|| crate::not_stored(self.db, self.ns, &job.key))
     }
 }

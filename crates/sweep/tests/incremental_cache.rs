@@ -21,9 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use loupe_apps::{registry, Workload};
-use loupe_core::Fingerprint;
+use loupe_core::{fingerprint_of, Fingerprint};
 use loupe_db::{ns, store, Database};
-use loupe_plan::os;
+use loupe_plan::{os, AppRequirement};
 use loupe_sweep::report::Drift;
 use loupe_sweep::{report, sweep_gentests, GentestsConfig, MatrixConfig, SweepConfig};
 use loupe_syscalls::{Sysno, SysnoSet};
@@ -204,22 +204,28 @@ proptest! {
 }
 
 /// Cache hits are answered from the manifest alone: with every stored
-/// static report and suite emptied and the binary index gone, a warm
-/// static and gentests sweep still succeed with nothing but hits — a
-/// hit that read its artifact would fail on the empty file.
+/// baseline, static report and suite emptied and the binary index gone,
+/// a warm sweep still hits every baseline, matrix cell, static report
+/// and suite — a hit that read its artifact would fail on the empty
+/// file — and summarises exactly what the cold sweep did.
 #[test]
 fn warm_hits_read_no_artifact() {
     let dir = tmpdir("manifest-only", 0);
     let apps = fleet().len();
     let oses = vec![os::find("kerla").unwrap(), os::find("gvisor").unwrap()];
-    {
+    let cold = {
         let db = Database::open(&dir).unwrap();
         loupe_sweep::sweep_static(&db, fleet(), 2, false).unwrap();
         let cold = sweep_gentests(&db, fleet(), &cfg(oses.clone(), 2)).unwrap();
         assert!(cold.is_clean(), "{:?}", cold.disagreements);
         db.flush().unwrap();
-    }
-    for layout in [&store::STATIC.layout, &store::SUITES.layout] {
+        cold
+    };
+    for layout in [
+        &store::BASELINES.layout,
+        &store::STATIC.layout,
+        &store::SUITES.layout,
+    ] {
         for key in layout.walk(&dir).unwrap() {
             std::fs::write(dir.join(layout.path(&key)), b"").unwrap();
         }
@@ -229,11 +235,56 @@ fn warm_hits_read_no_artifact() {
     let db = Database::open(&dir).unwrap();
     let statics = loupe_sweep::sweep_static(&db, fleet(), 2, false).unwrap();
     assert_eq!((statics.analyzed, statics.cached), (0, 4 * apps));
-    let suites = sweep_gentests(&db, fleet(), &cfg(oses, 2)).unwrap();
-    assert_eq!((suites.generated, suites.cached), (0, 2 * apps));
-    assert!(suites.is_clean());
+    let warm = sweep_gentests(&db, fleet(), &cfg(oses, 2)).unwrap();
+    assert_eq!((warm.base.analyzed, warm.base.cached), (0, apps));
+    let matrix = warm.base.matrix.as_ref().unwrap();
+    assert_eq!((matrix.analyzed, matrix.cached), (0, 2 * apps));
+    assert_eq!((warm.generated, warm.cached), (0, 2 * apps));
+    assert!(warm.is_clean());
     let counted = db.session_cache_stats().total();
     assert_eq!((counted.misses, counted.stale), (0, 0));
+    // The same summaries as the cold sweep that measured everything.
+    let answered = |summary: &loupe_sweep::SweepSummary| -> Vec<_> {
+        summary
+            .measurements
+            .iter()
+            .map(|m| (m.app.clone(), m.workload, m.record.clone()))
+            .collect()
+    };
+    assert_eq!(answered(&warm.base), answered(&cold.base));
+    assert_eq!(matrix.stats, cold.base.matrix.as_ref().unwrap().stats);
+    assert_eq!(warm.stats, cold.stats);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A forced re-measure merges with the stored baseline, and the
+/// fingerprints its record's meta carries (the matrix inputs) are those
+/// of the merged report the database now serves, not of the fresh
+/// measurement.
+#[test]
+fn forced_merge_records_the_stored_reports_fingerprints() {
+    let dir = tmpdir("forced-meta", 0);
+    let db = Database::open(&dir).unwrap();
+    let sweep = |force| {
+        let mut cfg = cfg(Vec::new(), 1).matrix.sweep;
+        cfg.force = force;
+        loupe_sweep::Sweep::new(cfg).run(&db, fleet()).unwrap()
+    };
+    sweep(false);
+    let forced = sweep(true);
+    assert_eq!(forced.analyzed, fleet().len());
+    for m in &forced.measurements {
+        let key = loupe_db::baseline_key(&m.app, m.workload);
+        let stored = db.get(&store::BASELINES, &key).unwrap().unwrap();
+        let record = db.record(ns::BASELINES, &key).unwrap();
+        assert_eq!(&record, &m.record);
+        let hex = |fp: Fingerprint| fp.to_hex();
+        let requirement = fingerprint_of(&AppRequirement::from_report(&stored));
+        let features = fingerprint_of(&stored.baseline.features);
+        assert_eq!(record.output, fingerprint_of(&stored));
+        assert_eq!(record.meta[store::REQUIREMENT_META], hex(requirement));
+        assert_eq!(record.meta[store::FEATURES_META], hex(features));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -27,29 +27,27 @@ fn full_fleet_sweep_persists_and_renders() {
 
     // Sweep the complete 116-app dataset concurrently.
     let summary = health_sweep().run(&db, registry::dataset()).unwrap();
-    assert!(summary.reports.len() >= 100, "fleet-scale sweep");
-    assert_eq!(summary.analyzed, summary.reports.len());
+    let reports = summary.reports(&db).unwrap();
+    assert!(reports.len() >= 100, "fleet-scale sweep");
+    assert_eq!(summary.analyzed, reports.len());
     assert!(summary.failures.is_empty(), "{:?}", summary.failures);
 
     // Every report is persisted and loadable.
-    assert_eq!(
-        db.keys(&store::BASELINES).unwrap().len(),
-        summary.reports.len()
-    );
+    assert_eq!(db.keys(&store::BASELINES).unwrap().len(), reports.len());
     let stored = db.load_all(&store::BASELINES).unwrap();
-    assert_eq!(stored, summary.reports);
+    assert_eq!(stored, reports);
 
     // Aggregation reproduces the paper's headline shape: a compact
     // required core inside a much larger traced surface.
     let stats = FleetStats::aggregate(Workload::HealthCheck, &stored);
-    assert_eq!(stats.apps, summary.reports.len());
+    assert_eq!(stats.apps, reports.len());
     assert!(stats.required_anywhere() < stats.rows.len());
     assert!(stats.importance.first().unwrap().importance >= 0.9);
 
     // Rendering covers the matrix, the support-plan book, one page per
     // app, and the per-app index.
     let rendered = report::render(&db).unwrap();
-    assert_eq!(rendered.files.len(), summary.reports.len() + 3);
+    assert_eq!(rendered.files.len(), reports.len() + 3);
 
     // Written docs pass the drift check; a tampered file fails it.
     let docs = dir.join("docs");
