@@ -89,9 +89,8 @@ fn gentests_generates_a_suite_then_check_mode_finds_it_fresh() {
     assert!(out.status.success(), "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("1 generated"), "fresh suite: {stdout}");
     assert!(
-        dir.join("gentests/kerla/health/hello-musl-static.json")
-            .is_file(),
-        "suite persisted under gentests/<os>/<workload>"
+        dir.join("gentests/health/hello-musl-static.json").is_file(),
+        "suite body persisted under gentests/<workload>"
     );
 
     // A second run in check mode writes nothing and exits zero: the
@@ -100,6 +99,66 @@ fn gentests_generates_a_suite_then_check_mode_finds_it_fresh() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "check mode on fresh suites: {stdout}");
     assert!(stdout.contains("0 stale"), "nothing stale: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `gentests --out` exports, for every OS, exactly the suite
+/// `ConformanceSuite::generate` compiles from the stored baseline and
+/// matrix cell: the export of the suites assembled from their shared
+/// bodies is byte-identical to one written from generated suites.
+#[test]
+fn gentests_export_equals_directly_generated_suites() {
+    let dir = tmpdir("gentests-export");
+    let (db_dir, out_dir) = (dir.join("db"), dir.join("out"));
+    let out = loupe()
+        .args(["gentests", "--all-os", "--workload", "health"])
+        .args(["--apps", "hello-musl-static,redis,nginx", "--db"])
+        .arg(&db_dir)
+        .arg("--out")
+        .arg(&out_dir)
+        .output()
+        .expect("spawn loupe");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let db = loupe_db::Database::open(&db_dir).unwrap();
+    let mut want = std::collections::BTreeMap::new();
+    for spec in loupe_plan::os::db() {
+        for app in ["hello-musl-static", "redis", "nginx"] {
+            let workload = loupe_apps::Workload::HealthCheck;
+            let report = db
+                .get(
+                    &loupe_db::store::BASELINES,
+                    &loupe_db::baseline_key(app, workload),
+                )
+                .unwrap()
+                .unwrap();
+            let cell = db
+                .get(
+                    &loupe_db::store::MATRIX,
+                    &loupe_db::matrix_key(&spec.name, app, workload),
+                )
+                .unwrap();
+            let suite = loupe_gentests::ConformanceSuite::generate(&spec, &report, cell.as_ref());
+            let path = PathBuf::from(&spec.name)
+                .join("health")
+                .join(format!("{app}.json"));
+            want.insert(path, serde_json::to_string_pretty(&suite).unwrap());
+        }
+    }
+    let mut got = std::collections::BTreeMap::new();
+    for os_dir in std::fs::read_dir(&out_dir).unwrap() {
+        let os_dir = os_dir.unwrap().path();
+        for file in std::fs::read_dir(os_dir.join("health")).unwrap() {
+            let file = file.unwrap().path();
+            let rel = file.strip_prefix(&out_dir).unwrap().to_path_buf();
+            got.insert(rel, std::fs::read_to_string(&file).unwrap());
+        }
+    }
+    assert_eq!(got.len(), 3 * loupe_plan::os::db().len());
+    assert_eq!(got, want);
     std::fs::remove_dir_all(&dir).ok();
 }
 

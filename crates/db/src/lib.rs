@@ -49,7 +49,7 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::{self, Read};
@@ -143,7 +143,6 @@ type SnapshotSlot<T> = Mutex<Option<(u64, Arc<BTreeMap<String, T>>)>>;
 struct Slots {
     baselines: SnapshotSlot<AppReport>,
     matrix: SnapshotSlot<MatrixCell>,
-    suites: SnapshotSlot<ConformanceSuite>,
     statics: SnapshotSlot<StaticReport>,
 }
 
@@ -265,19 +264,19 @@ impl Shared {
         })
     }
 
-    /// Updates the record for a just-written artifact. A committed one
-    /// gets the `provenance` it was derived from. Otherwise, if the
-    /// stored output fingerprint is unchanged, the record (including its
-    /// provenance) is kept — content-addressed identity — and if not,
-    /// its inputs become unknown until a stage commits it.
-    fn record_artifact<T: serde::Serialize>(
+    /// Updates the record for a just-written artifact whose output
+    /// fingerprint is `output`. A committed one gets the `provenance` it
+    /// was derived from. Otherwise, if the stored output fingerprint is
+    /// unchanged, the record (including its provenance) is kept —
+    /// content-addressed identity — and if not, its inputs become
+    /// unknown until a stage commits it.
+    fn record_artifact(
         &self,
         namespace: &str,
         key: &str,
-        artifact: &T,
+        output: Fingerprint,
         provenance: Option<Provenance>,
     ) {
-        let output = fingerprint_of(artifact);
         self.with_namespace(namespace, |n| {
             let kept = n
                 .records
@@ -305,15 +304,12 @@ impl Shared {
         });
     }
 
-    /// Reconciles a namespace's records with the entries found on disk
-    /// during a bulk rebuild: records gain/refresh output fingerprints,
-    /// records whose content changed out-of-band lose their provenance,
-    /// and records for deleted files are dropped.
-    fn adopt_outputs<T: serde::Serialize>(&self, namespace: &str, entries: &[(String, T)]) {
-        let outputs: Vec<(&String, Fingerprint)> = entries
-            .iter()
-            .map(|(k, v)| (k, fingerprint_of(v)))
-            .collect();
+    /// Reconciles a namespace's records with the `(key, output
+    /// fingerprint)` of every entry found on disk during a bulk rebuild:
+    /// records gain/refresh output fingerprints, records whose content
+    /// changed out-of-band lose their provenance, and records for
+    /// deleted files are dropped.
+    fn adopt_outputs(&self, namespace: &str, outputs: Vec<(&String, Fingerprint)>) {
         self.with_namespace(namespace, |n| {
             let records = &mut n.records.records;
             let mut fresh: BTreeMap<String, ArtifactRecord> = BTreeMap::new();
@@ -356,7 +352,12 @@ impl Shared {
         self.with_manifest(|s| {
             // Compact, unlike the artifacts: only programs read them.
             for (namespace, n) in s.namespaces.iter_mut().filter(|(_, n)| n.dirty) {
-                write_compact_locked(&records_path(&self.root, namespace), &n.records)?;
+                let path = records_path(&self.root, namespace);
+                let text = n.records.to_json().map_err(|e| DbError::Corrupt {
+                    path: path.clone(),
+                    message: e.to_string(),
+                })?;
+                write_atomic(&path, text.as_bytes())?;
                 n.dirty = false;
             }
             if s.head_dirty {
@@ -425,8 +426,9 @@ pub fn matrix_key(os: &str, app: &str, workload: Workload) -> String {
     format!("{os}/{app}/{}", workload.label())
 }
 
-/// Manifest key of a conformance suite (mirrors the on-disk layout:
-/// `gentests/<os>/<workload>/<app>.json`).
+/// Manifest key of a conformance suite, `<os>/<workload>/<app>`: its
+/// body is stored once per `(app, workload)`, at
+/// `gentests/<workload>/<app>.json`.
 pub fn suite_key(os: &str, app: &str, workload: Workload) -> String {
     format!("{os}/{}/{app}", workload.label())
 }
@@ -436,14 +438,35 @@ pub fn static_key(level: Level, app: &str) -> String {
     format!("{}/{app}", level.label())
 }
 
+/// The matrix key of the cell a suite key's suite is assembled with:
+/// the same OS, app and workload (`<os>/<workload>/<app>` →
+/// `<os>/<app>/<workload>`).
+fn suite_cell_key(key: &str) -> String {
+    let mut segments: Vec<&str> = key.split('/').collect();
+    if let [_, first, second] = segments.as_mut_slice() {
+        std::mem::swap(first, second);
+    }
+    segments.join("/")
+}
+
 /// Manifest key of a plan validation.
 pub fn plan_key(os: &str, workload: Workload) -> String {
     format!("{os}/{}", workload.label())
 }
 
-/// The one reader of stored files: `Ok(None)` when absent, and
-/// [`DbError::Corrupt`] naming the file for anything unparseable.
+/// Reads a stored JSON file (see [`read_with`]).
 fn read_json<T: serde::Deserialize>(path: &Path) -> Result<Option<T>, DbError> {
+    read_with(path, |text| {
+        serde_json::from_str(text).map_err(|e| e.to_string())
+    })
+}
+
+/// The one reader of stored files: `Ok(None)` when absent, and
+/// [`DbError::Corrupt`] naming the file for anything `decode` rejects.
+fn read_with<T>(
+    path: &Path,
+    decode: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, DbError> {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -454,9 +477,7 @@ fn read_json<T: serde::Deserialize>(path: &Path) -> Result<Option<T>, DbError> {
         message,
     };
     let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(e.to_string()))?;
-    serde_json::from_str(text)
-        .map(Some)
-        .map_err(|e| corrupt(e.to_string()))
+    decode(text).map(Some).map_err(corrupt)
 }
 
 fn to_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<String, DbError> {
@@ -621,7 +642,6 @@ impl Database {
                 slots: Slots {
                     baselines: Mutex::new(None),
                     matrix: Mutex::new(None),
-                    suites: Mutex::new(None),
                     statics: Mutex::new(None),
                 },
             }),
@@ -677,7 +697,17 @@ impl Database {
         };
         let merged = stored.map_or(Cow::Borrowed(value), Cow::Owned);
         let path = self.shared.root.join(ns.layout.path(&key));
-        write_atomic(&path, to_json(&path, &*merged)?.as_bytes())?;
+        let output = match &ns.assembly {
+            None => {
+                write_atomic(&path, to_json(&path, &*merged)?.as_bytes())?;
+                fingerprint_of(&*merged)
+            }
+            Some(assembly) => {
+                let body = ns.body_text(assembly, &merged)?;
+                self.write_shared_locked(&ns.layout, &key, &path, &body)?;
+                fingerprint_bytes(body.as_bytes())
+            }
+        };
         let provenance = provenance.map(|(inputs, mut meta)| {
             if let Some(facts) = ns.facts {
                 meta.extend(facts(&merged));
@@ -685,35 +715,150 @@ impl Database {
             (inputs, meta)
         });
         self.shared
-            .record_artifact(ns.layout.name, &key, &*merged, provenance);
+            .record_artifact(ns.layout.name, &key, output, provenance);
+        Ok(())
+    }
+
+    /// Writes the file a [shared](store::Layout::shared) layout stores
+    /// `key` in, unless it already holds `body`. Changing it changes
+    /// the value of every other key recorded on that file, so their
+    /// records lose their provenance, as after a raw put.
+    fn write_shared_locked(
+        &self,
+        layout: &store::Layout,
+        key: &str,
+        path: &Path,
+        body: &str,
+    ) -> Result<(), DbError> {
+        let stored = match fs::read(path) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        if stored.as_deref() == Some(body.as_bytes()) {
+            return Ok(());
+        }
+        write_atomic(path, body.as_bytes())?;
+        if stored.is_some() {
+            let file = layout.file_key(key);
+            self.shared.with_namespace(layout.name, |n| {
+                let mut changed = false;
+                for (other, rec) in n.records.records.iter_mut() {
+                    if other != key && rec.inputs.is_some() && layout.file_key(other) == file {
+                        rec.inputs = None;
+                        changed = true;
+                    }
+                }
+                n.dirty |= changed;
+            });
+        }
         Ok(())
     }
 
     /// Loads the artifact stored in `ns` under `key`, if any, from its
     /// JSON file — never from a snapshot, so out-of-band edits are seen
     /// at once and a read after a write costs one file, not a namespace.
+    /// A [shared](store::Layout::shared) layout's value is assembled
+    /// from its file and the matrix cell of its key.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
     pub fn get<T: Artifact>(&self, ns: &Namespace<T>, key: &str) -> Result<Option<T>, DbError> {
-        let stored = read_json(&self.shared.root.join(ns.layout.path(key)))?;
-        Ok(stored.filter(ns.accept))
+        let path = self.shared.root.join(ns.layout.path(key));
+        let Some(assembly) = &ns.assembly else {
+            return Ok(read_json(&path)?.filter(ns.accept));
+        };
+        if !self.is_shared_key(&ns.layout, key)? {
+            return Ok(None);
+        }
+        let cell = self.get(&store::MATRIX, &suite_cell_key(key))?;
+        let target = (ns.layout.shared_segment(key), cell.as_ref());
+        let values = read_with(&path, |text| (assembly.assemble)(text, &[target]))?;
+        Ok(values.and_then(|v| v.into_iter().next()).filter(ns.accept))
     }
 
-    /// Whether a file is stored in `ns` under `key` (cheap: a file
-    /// probe, no parsing).
+    /// Whether `ns` stores something under `key` (cheap: a file probe,
+    /// no parsing; for a [shared](store::Layout::shared) layout, also
+    /// a record lookup).
     pub fn contains<T>(&self, ns: &Namespace<T>, key: &str) -> bool {
         self.shared.root.join(ns.layout.path(key)).is_file()
+            && (ns.layout.shared.is_none() || self.is_shared_key(&ns.layout, key).unwrap_or(false))
     }
 
-    /// Every key stored in `ns`, in key order (segment by segment).
+    /// Every key stored in `ns`, in key order (segment by segment); for
+    /// a [shared](store::Layout::shared) layout, see
+    /// [`shared_keys`](Self::shared_keys).
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn keys<T>(&self, ns: &Namespace<T>) -> Result<Vec<String>, DbError> {
-        Ok(ns.layout.walk(&self.shared.root)?)
+        if ns.layout.shared.is_none() {
+            return Ok(ns.layout.walk(&self.shared.root)?);
+        }
+        let mut keys: Vec<String> = self
+            .shared_keys(&ns.layout)?
+            .into_values()
+            .flatten()
+            .collect();
+        keys.sort_by(|a, b| store::key_order(a, b));
+        Ok(keys)
+    }
+
+    /// The keys of a [shared](store::Layout::shared) layout, by the key
+    /// of the stored file they share: the keys recorded on it, or, for
+    /// a file no key is recorded on (its records were lost), one key per
+    /// OS the matrix holds cells of — the OSes a sweep stores it for. So
+    /// the records are derived data here too: losing them loses
+    /// provenance, not suites.
+    fn shared_keys(
+        &self,
+        layout: &store::Layout,
+    ) -> Result<BTreeMap<String, Vec<String>>, DbError> {
+        let mut files: BTreeMap<String, Vec<String>> = layout
+            .walk(&self.shared.root)?
+            .into_iter()
+            .map(|file| (file, Vec::new()))
+            .collect();
+        self.shared.with_namespace(layout.name, |n| {
+            for key in n.records.records.keys() {
+                if let Some(keys) = files.get_mut(layout.file_key(key).as_ref()) {
+                    keys.push(key.clone());
+                }
+            }
+        });
+        if files.values().any(Vec::is_empty) {
+            let oses = self.swept_oses()?;
+            for (file, keys) in files.iter_mut().filter(|(_, keys)| keys.is_empty()) {
+                keys.extend(oses.iter().map(|os| layout.shared_key(file, os)));
+            }
+        }
+        Ok(files)
+    }
+
+    /// Whether `key` is one of the [`shared_keys`](Self::shared_keys)
+    /// of `layout`, if its file is stored.
+    fn is_shared_key(&self, layout: &store::Layout, key: &str) -> Result<bool, DbError> {
+        let file = layout.file_key(key);
+        let (recorded, lost) = self.shared.with_namespace(layout.name, |n| {
+            let records = &n.records.records;
+            let recorded = records.contains_key(key);
+            let lost = !recorded && !records.keys().any(|other| layout.file_key(other) == file);
+            (recorded, lost)
+        });
+        Ok(recorded || (lost && self.swept_oses()?.contains(layout.shared_segment(key))))
+    }
+
+    /// The OSes the matrix holds cells of.
+    fn swept_oses(&self) -> Result<BTreeSet<String>, DbError> {
+        let at = store::MATRIX.layout.os.unwrap_or_default();
+        Ok(self
+            .keys(&store::MATRIX)?
+            .iter()
+            .filter_map(|key| key.split('/').nth(at))
+            .map(str::to_owned)
+            .collect())
     }
 
     /// Loads every artifact stored in `ns`, in key order — the bulk path
@@ -743,6 +888,9 @@ impl Database {
     /// lock file cannot be created still reads. Lock order: slot, writer
     /// mutex, manifest.
     fn bulk<T: Artifact>(&self, ns: &Namespace<T>) -> Result<Arc<BTreeMap<String, T>>, DbError> {
+        if let Some(assembly) = &ns.assembly {
+            return self.bulk_assembled(ns, assembly);
+        }
         let namespace = ns.layout.name;
         let mut slot = ns
             .slot
@@ -769,7 +917,8 @@ impl Database {
                         entries.push((key, value));
                     }
                 }
-                self.shared.adopt_outputs(namespace, &entries);
+                let outputs = entries.iter().map(|(k, v)| (k, fingerprint_of(v)));
+                self.shared.adopt_outputs(namespace, outputs.collect());
                 let map: BTreeMap<String, T> = entries.into_iter().collect();
                 if indexed {
                     let state = self.shared.namespace_state(namespace);
@@ -786,6 +935,48 @@ impl Database {
             *slot = Some((self.shared.generation(namespace), Arc::clone(&map)));
         }
         Ok(map)
+    }
+
+    /// The bulk loader of a [shared](store::Layout::shared) layout: each
+    /// file decoded once into the values of every key it is shared by,
+    /// each assembled with its matrix cell (one bulk load), then the
+    /// records reconciled as a snapshot miss in [`bulk`](Self::bulk)
+    /// does, under the same lock. A key's output fingerprint is that of
+    /// its file's bytes.
+    fn bulk_assembled<T: Artifact>(
+        &self,
+        ns: &Namespace<T>,
+        assembly: &store::Assembly<T>,
+    ) -> Result<Arc<BTreeMap<String, T>>, DbError> {
+        let cells = self.bulk(&store::MATRIX)?;
+        let _writers = self.shared.write_lock.lock().expect("writer lock");
+        let mut entries = Vec::new();
+        for (file, keys) in self.shared_keys(&ns.layout)? {
+            let targets: Vec<store::Target<'_>> = keys
+                .iter()
+                .map(|key| {
+                    let cell = cells.get(&suite_cell_key(key));
+                    (ns.layout.shared_segment(key), cell)
+                })
+                .collect();
+            let path = self.shared.root.join(ns.layout.path(&file));
+            let stored = read_with(&path, |text| {
+                let values = (assembly.assemble)(text, &targets)?;
+                Ok((values, fingerprint_bytes(text.as_bytes())))
+            })?;
+            if let Some((values, output)) = stored {
+                entries.extend(keys.into_iter().zip(values).map(|(k, v)| (k, v, output)));
+            }
+        }
+        let outputs = entries.iter().map(|(key, _, output)| (key, *output));
+        self.shared.adopt_outputs(ns.layout.name, outputs.collect());
+        Ok(Arc::new(
+            entries
+                .into_iter()
+                .filter(|(_, value, _)| (ns.accept)(value))
+                .map(|(key, value, _)| (key, value))
+                .collect(),
+        ))
     }
 
     /// Writes an OS support spec in CSV form under `<root>/os/<name>.csv`.
@@ -945,16 +1136,21 @@ impl Database {
             .collect()
     }
 
-    /// Per-namespace `(entries tracked, entries with provenance)` counts.
+    /// Per-namespace `(entries tracked, entries with provenance)` counts:
+    /// of the records in memory for a namespace this handle has read,
+    /// else from the counts at the head of its records file
+    /// ([`Records::counts_in`]), decoding no record.
     pub fn cache_entry_counts(&self) -> Vec<(String, usize, usize)> {
         ns::ALL
             .iter()
             .map(|namespace| {
-                self.shared.with_namespace(namespace, |n| {
-                    let records = &n.records.records;
-                    let with = records.values().filter(|r| r.inputs.is_some()).count();
-                    ((*namespace).to_owned(), records.len(), with)
-                })
+                let loaded = self
+                    .shared
+                    .with_manifest(|s| s.namespaces.get(*namespace).map(|n| n.records.counts()));
+                let (entries, with) = loaded.unwrap_or_else(|| {
+                    Records::counts_in(&records_path(&self.shared.root, namespace))
+                });
+                ((*namespace).to_owned(), entries, with)
             })
             .collect()
     }
@@ -1363,8 +1559,11 @@ mod tests {
         // The gentests namespace is invisible to the baseline listing,
         // and the bulk loaders see exactly the stored keys.
         assert_eq!(db.keys(&store::BASELINES).unwrap().len(), 1);
-        assert_eq!(db.keys(&store::SUITES).unwrap(), vec![key]);
-        assert_eq!(db.load_all(&store::SUITES).unwrap(), vec![rewritten]);
+        assert_eq!(db.keys(&store::SUITES).unwrap(), vec![key.clone()]);
+        assert_eq!(
+            db.load_all(&store::SUITES).unwrap(),
+            vec![rewritten.clone()]
+        );
         assert!(db
             .get(
                 &store::SUITES,
@@ -1372,6 +1571,42 @@ mod tests {
             )
             .unwrap()
             .is_none());
+
+        // Every OS's suite shares the one body: committing gvisor's
+        // writes nothing new, and a body changed through kerla's key
+        // changes gvisor's suite too, so gvisor's record loses its
+        // provenance and the next sweep re-derives it.
+        let gvisor = loupe_plan::os::find("gvisor").unwrap();
+        let gvisor_key = suite_key("gvisor", &report.app, Workload::HealthCheck);
+        let inputs: BTreeMap<String, Fingerprint> =
+            [("os".to_owned(), fingerprint_of(&"gvisor"))].into();
+        let gvisor_suite = ConformanceSuite::generate(&gvisor, &report, None);
+        db.put(&store::SUITES, &suite).unwrap();
+        db.commit(
+            &store::SUITES,
+            &gvisor_suite,
+            Derive::Miss,
+            inputs,
+            BTreeMap::new(),
+        )
+        .unwrap();
+        assert_eq!(
+            db.keys(&store::SUITES).unwrap(),
+            vec![gvisor_key.clone(), key]
+        );
+        assert_eq!(
+            store::SUITES.layout.walk(&dir).unwrap(),
+            vec![format!("health/{}", report.app)]
+        );
+        assert!(db.record(ns::SUITES, &gvisor_key).unwrap().inputs.is_some());
+        db.put(&store::SUITES, &rewritten).unwrap();
+        assert!(db.record(ns::SUITES, &gvisor_key).unwrap().inputs.is_none());
+        let mut gvisor_rewritten = gvisor_suite.clone();
+        gvisor_rewritten.cases.truncate(1);
+        assert_eq!(
+            db.get(&store::SUITES, &gvisor_key).unwrap(),
+            Some(gvisor_rewritten)
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1995,7 +2230,8 @@ mod tests {
     }
 
     /// One artifact of every kind, stored into `db`; returns each one's
-    /// `(namespace, key)` together with its pretty JSON.
+    /// `(namespace, key)` together with the pretty JSON its file holds
+    /// (for the suite, its body's).
     fn one_of_each(db: &Database) -> Vec<(&'static str, String, String)> {
         fn put<T: Artifact>(
             db: &Database,
@@ -2011,6 +2247,9 @@ mod tests {
         restricted.env = "kerla-step3".into();
         let spec = loupe_plan::os::find("kerla").unwrap();
         let app = registry::find("redis").unwrap();
+        let suite = ConformanceSuite::generate(&spec, &report, None);
+        let mut stored_suite = put(db, &store::SUITES, &suite);
+        stored_suite.2 = serde_json::to_string_pretty(&suite.body()).unwrap();
         vec![
             put(db, &store::BASELINES, &report),
             put(db, &store::ENV, &restricted),
@@ -2028,11 +2267,7 @@ mod tests {
                 &store::STATIC,
                 &GraphAnalyzer::new(Level::L0).analyze(app.as_ref()),
             ),
-            put(
-                db,
-                &store::SUITES,
-                &ConformanceSuite::generate(&spec, &report, None),
-            ),
+            stored_suite,
         ]
     }
 
@@ -2041,7 +2276,9 @@ mod tests {
         // Relative paths and manifest keys as written by every earlier
         // version of the store: a database populated before must stay
         // readable, and its records must keep their keys. Each
-        // namespace's records live in `manifest/<ns>.json`.
+        // namespace's records live in `manifest/<ns>.json`. A suite is
+        // stored as its body, one file per (app, workload) shared by
+        // every OS, and keeps its per-OS key.
         let dir = tmpdir("golden");
         let db = Database::open(&dir).unwrap();
         let stored = one_of_each(&db);
@@ -2075,14 +2312,19 @@ mod tests {
             (
                 ns::SUITES,
                 format!("kerla/health/{app}"),
-                format!("gentests/kerla/health/{app}.json"),
+                format!("gentests/health/{app}.json"),
             ),
         ];
         for ((namespace, key, json), (want_ns, want_key, want_path)) in stored.iter().zip(&golden) {
             assert_eq!((namespace, key), (want_ns, want_key));
             assert!(db.recorded_output(namespace, key).is_some(), "{key}");
-            // The stored bytes are exactly the artifact's pretty JSON.
+            // The stored bytes are exactly the artifact's pretty JSON
+            // (the suite's body: no `os`, `expected` or `linux_pass`).
             assert_eq!(&fs::read_to_string(dir.join(want_path)).unwrap(), json);
+        }
+        let body = fs::read_to_string(dir.join(&golden[5].2)).unwrap();
+        for per_os in ["\"os\"", "\"expected\"", "\"linux_pass\""] {
+            assert!(!body.contains(per_os), "{per_os} in the suite body");
         }
         let spec = loupe_plan::os::find("kerla").unwrap();
         assert_eq!(db.save_os_spec(&spec).unwrap(), dir.join("os/kerla.csv"));
@@ -2257,9 +2499,14 @@ mod tests {
         let records = sorted("manifest");
         assert_eq!(records.len(), 6, "every namespace that holds an artifact");
         let index = sorted("index");
-        assert_eq!(index.len(), 4, "every snapshotted namespace has its file");
+        assert_eq!(index.len(), 3, "every snapshotted namespace has its file");
         files.extend(records);
         files.extend(index);
+        // The suite body is stored data, not derived, and shared by
+        // every OS's suite of its (app, workload).
+        let (_, suite_key, _) = stored.iter().find(|s| s.0 == ns::SUITES).unwrap();
+        let body = dir.join(layout_of(ns::SUITES).path(suite_key));
+        files.push(body.clone());
         let originals: Vec<Vec<u8>> = files.iter().map(|f| fs::read(f).unwrap()).collect();
 
         for (path, good) in files.iter().zip(&originals) {
@@ -2275,23 +2522,41 @@ mod tests {
                 }
                 fs::write(path, &bytes).unwrap();
                 let db = Database::open(&dir).unwrap();
-                let got: Vec<Fingerprint> = ns::ALL.iter().map(|n| served(&db, n)).collect();
-                // A damaged records file reads as empty or as other
-                // state, so its namespace's snapshot is stale and
-                // rebuilds from the JSON, which re-learns its records; a
-                // truncated snapshot, or one with a flipped byte, fails
-                // its header checks or its checksum and is rebuilt.
-                for (namespace, key, _) in &stored {
-                    assert!(db.record(namespace, key).is_some(), "{namespace}/{key}");
-                }
-                assert_eq!(
-                    got,
-                    expected,
+                let how = format!(
                     "{} {} to {} bytes",
                     path.display(),
                     if truncated { "truncated" } else { "flipped" },
                     bytes.len()
                 );
+                let others = ns::ALL
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, n)| **n != ns::SUITES);
+                if *path == body {
+                    // A damaged body reads as an error naming it, or as
+                    // another suite; every other namespace is untouched.
+                    match db.load_all(&store::SUITES) {
+                        Err(DbError::Corrupt { path: p, .. }) => assert_eq!(p, body, "{how}"),
+                        Err(e) => panic!("{how}: {e}"),
+                        Ok(suites) => assert!(!truncated && suites.len() <= 1, "{how}"),
+                    }
+                    for (i, namespace) in others {
+                        assert_eq!(served(&db, namespace), expected[i], "{how}");
+                    }
+                    continue;
+                }
+                let got: Vec<Fingerprint> = ns::ALL.iter().map(|n| served(&db, n)).collect();
+                // A damaged records file fails to parse or fails its
+                // checksum and reads as empty, so its namespace's
+                // snapshot is stale and rebuilds from the JSON, which
+                // re-learns its records (the suites', whose body names
+                // no OS, for every OS the matrix holds cells of); a
+                // truncated snapshot, or one with a flipped byte, fails
+                // its header checks or its checksum and is rebuilt.
+                for (namespace, key, _) in &stored {
+                    assert!(db.record(namespace, key).is_some(), "{namespace}/{key}");
+                }
+                assert_eq!(got, expected, "{how}");
             }
         }
         fs::remove_dir_all(&dir).ok();

@@ -32,17 +32,23 @@
 //! re-attaches it.
 
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use loupe_core::Fingerprint;
 use serde::{Deserialize, Serialize};
 
+use crate::fingerprint_bytes;
+
 /// Current manifest format version, of `manifest.json` and of every
 /// records file. Bump when the record shape, the file layout or the
 /// fingerprint function changes; a version mismatch empties the file
 /// (artifacts stay, provenance is re-learned on the next sweep). v2
-/// split the records into one file per namespace.
-pub const MANIFEST_VERSION: u32 = 2;
+/// split the records into one file per namespace; v3 stores one suite
+/// body per (app, workload), whose bytes its records' outputs
+/// fingerprint, so a v2 suite record, which promised a per-OS file,
+/// is never a hit.
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// The manifest head's file name, at the database root.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -66,7 +72,8 @@ pub mod ns {
     pub const PLANS: &str = "plans";
     /// Static-analysis reports (`static/<level>/<app>.json`).
     pub const STATIC: &str = "static";
-    /// Conformance suites (`gentests/<os>/<wl>/<app>.json`).
+    /// Conformance suites: one record per `os/wl/app`, all OSes of an
+    /// app and workload sharing one body (`gentests/<wl>/<app>.json`).
     pub const SUITES: &str = "suites";
     /// Rendered outputs: the docs set and `compare`'s text
     /// (`rendered/<name>.json`).
@@ -84,7 +91,9 @@ pub struct ArtifactRecord {
     /// unknown — the artifact exists but is never considered current.
     #[serde(default)]
     pub inputs: Option<BTreeMap<String, Fingerprint>>,
-    /// Fingerprint of the stored artifact itself.
+    /// Fingerprint of the stored artifact itself (for a key of a
+    /// shared layout, of the bytes of the file it shares; see
+    /// `store::Layout::shared`).
     pub output: Fingerprint,
     /// Small facts about the artifact a stage can use without loading it
     /// (e.g. which matrix tiers are covered, a suite's case counts).
@@ -191,7 +200,14 @@ impl Manifest {
 }
 
 /// One namespace's persisted records (`manifest/<ns>.json`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Ahead of the records the file carries their number, the number with
+/// provenance and the checksum of their text, all written in the same
+/// atomic write (so they always describe them): [`Records::counts_in`]
+/// answers from the counts without decoding the records, and a damaged
+/// file fails its checksum and reads as empty instead of as other
+/// records.
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 pub struct Records {
     /// Format version (see [`MANIFEST_VERSION`]).
     pub version: u32,
@@ -210,12 +226,123 @@ impl Records {
     }
 
     /// Parses a records file, treating anything unusable (bad JSON,
-    /// wrong version) as empty, like [`Manifest::from_json`].
+    /// wrong version, a checksum its records fail) as empty, like
+    /// [`Manifest::from_json`]. A file without a checksum is taken as
+    /// it decodes.
     pub fn from_json(text: &str) -> Records {
+        let intact = parse_head(text).is_none_or(|(head, start)| {
+            head.checksum.is_none_or(|sum| {
+                text[start..]
+                    .strip_suffix('}')
+                    .is_some_and(|records| fingerprint_bytes(records.as_bytes()) == sum)
+            })
+        });
         match serde_json::from_str::<Records>(text) {
-            Ok(r) if r.version == MANIFEST_VERSION => r,
+            Ok(r) if intact && r.version == MANIFEST_VERSION => r,
             _ => Records::new(),
         }
+    }
+
+    /// The records file's text: compact JSON (only programs read it),
+    /// its head, then its records.
+    ///
+    /// # Errors
+    ///
+    /// A record that does not serialise.
+    pub fn to_json(&self) -> Result<String, serde_json::Error> {
+        let records = serde_json::to_string(&self.records)?;
+        let (entries, with) = self.counts();
+        let head = serde_json::to_string(&RecordsHead {
+            version: self.version,
+            entries: Some(entries),
+            with_provenance: Some(with),
+            checksum: Some(fingerprint_bytes(records.as_bytes())),
+        })?;
+        let head = head.strip_suffix('}').unwrap_or(&head);
+        Ok(format!("{head}{RECORDS_FIELD}{records}}}"))
+    }
+
+    /// `(records, records with provenance)`.
+    pub fn counts(&self) -> (usize, usize) {
+        let with = self.records.values().filter(|r| r.inputs.is_some()).count();
+        (self.records.len(), with)
+    }
+
+    /// [`counts`](Self::counts) of the records file at `path`, read
+    /// from the counts at its head; a file without them, or cut short
+    /// (it does not end as a records file does), is decoded whole, and
+    /// a missing one counts nothing.
+    pub fn counts_in(path: &Path) -> (usize, usize) {
+        let Ok(mut file) = std::fs::File::open(path) else {
+            return (0, 0);
+        };
+        let mut head = Vec::with_capacity(HEAD_BYTES);
+        if (&mut file)
+            .take(HEAD_BYTES as u64)
+            .read_to_end(&mut head)
+            .is_ok()
+            && ends_whole(&file)
+        {
+            if let Some(counts) = head_counts(&head) {
+                return counts;
+            }
+        }
+        // As a handle reads it: anything unreadable is no records.
+        match file.read_to_end(&mut head).map(|_| String::from_utf8(head)) {
+            Ok(Ok(text)) => Records::from_json(&text).counts(),
+            _ => (0, 0),
+        }
+    }
+}
+
+/// Bytes read for the counts at a records file's head: the whole head
+/// fits in well under this.
+const HEAD_BYTES: usize = 256;
+
+/// What separates a records file's head from its records.
+const RECORDS_FIELD: &str = ",\"records\":";
+
+/// The fields a records file holds ahead of its records.
+#[derive(Serialize, Deserialize)]
+struct RecordsHead {
+    version: u32,
+    #[serde(default)]
+    entries: Option<usize>,
+    #[serde(default)]
+    with_provenance: Option<usize>,
+    #[serde(default)]
+    checksum: Option<Fingerprint>,
+}
+
+/// The head of the records file `text` starts with, and where its
+/// records' text starts: the text before `"records"`, closed and parsed
+/// on its own (`None` for a file not laid out as
+/// [`Records::to_json`] writes it).
+fn parse_head(text: &str) -> Option<(RecordsHead, usize)> {
+    let end = text.find(RECORDS_FIELD)?;
+    let head = serde_json::from_str(&format!("{}}}", &text[..end])).ok()?;
+    Some((head, end + RECORDS_FIELD.len()))
+}
+
+/// Whether `file` ends as a whole records file does, closing its
+/// records map and itself (`}}`): what a cut-short file lacks.
+fn ends_whole(file: &std::fs::File) -> bool {
+    use std::os::unix::fs::FileExt;
+    let mut tail = [0u8; 2];
+    let len = file.metadata().map_or(0, |m| m.len());
+    len >= 2 && file.read_exact_at(&mut tail, len - 2).is_ok() && tail == *b"}}"
+}
+
+/// The counts at the head of a records file, if it has them.
+fn head_counts(head: &[u8]) -> Option<(usize, usize)> {
+    match parse_head(std::str::from_utf8(head).ok()?)?.0 {
+        RecordsHead {
+            version: MANIFEST_VERSION,
+            entries: Some(entries),
+            with_provenance: Some(with),
+            ..
+        } => Some((entries, with)),
+        _ => None,
     }
 }
 
@@ -245,7 +372,7 @@ mod tests {
 
         let json = serde_json::to_string_pretty(&m).unwrap();
         assert_eq!(Manifest::from_json(&json), m);
-        let records_json = serde_json::to_string(&records).unwrap();
+        let records_json = records.to_json().unwrap();
         assert_eq!(Records::from_json(&records_json), records);
 
         assert_eq!(Manifest::from_json("not json"), Manifest::new());
@@ -267,6 +394,96 @@ mod tests {
         );
         assert_ne!(old, records_json);
         assert_eq!(Records::from_json(&old), Records::new());
+    }
+
+    #[test]
+    fn counts_at_a_records_files_head_match_a_full_decode() {
+        let dir = std::env::temp_dir().join(format!("loupe-records-counts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("suites.json");
+        let record = |inputs: Option<BTreeMap<String, Fingerprint>>| ArtifactRecord {
+            inputs,
+            output: fingerprint_of(&"suite"),
+            meta: BTreeMap::new(),
+        };
+        let mut records = Records::new();
+        let inputs = [("os".to_owned(), fingerprint_of(&"kerla"))].into();
+        records
+            .records
+            .insert("kerla/health/redis".to_owned(), record(Some(inputs)));
+        records
+            .records
+            .insert("kerla/health/nginx".to_owned(), record(None));
+        let text = records.to_json().unwrap();
+        assert!(
+            text.starts_with(&format!(
+                "{{\"version\":{MANIFEST_VERSION},\"entries\":2,\"with_provenance\":1,\"checksum\":"
+            )),
+            "{text}"
+        );
+        std::fs::write(&path, &text).unwrap();
+        assert_eq!(Records::counts_in(&path), (2, 1));
+        assert_eq!(
+            Records::counts_in(&path),
+            Records::from_json(&text).counts()
+        );
+
+        // Only the head is read: counts that disagree with the records
+        // are what it answers.
+        let head = text.replacen("\"entries\":2", "\"entries\":7", 1);
+        std::fs::write(&path, head).unwrap();
+        assert_eq!(Records::counts_in(&path), (7, 1));
+
+        // A file written without the counts decodes the same records,
+        // and is counted by decoding them.
+        let without = text.replacen("\"entries\":2,\"with_provenance\":1,", "", 1);
+        assert_ne!(without, text);
+        assert_eq!(Records::from_json(&without), records);
+        std::fs::write(&path, &without).unwrap();
+        assert_eq!(Records::counts_in(&path), (2, 1));
+
+        // Anything a handle would read as no records counts none.
+        let old = text.replacen(
+            &format!("\"version\":{MANIFEST_VERSION}"),
+            "\"version\":1",
+            1,
+        );
+        for unusable in [old.as_str(), "", "not json", &text[..text.len() / 2]] {
+            std::fs::write(&path, unusable).unwrap();
+            assert_eq!(Records::counts_in(&path), (0, 0), "{unusable}");
+        }
+        assert_eq!(Records::counts_in(&dir.join("missing.json")), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_records_file_failing_its_checksum_reads_as_empty() {
+        let mut records = Records::new();
+        records.records.insert(
+            "kerla/health/redis".to_owned(),
+            ArtifactRecord {
+                inputs: None,
+                output: fingerprint_of(&"suite"),
+                meta: BTreeMap::new(),
+            },
+        );
+        let text = records.to_json().unwrap();
+        // Still valid JSON, but naming another key: other records.
+        let renamed = text.replacen("kerla/", "kerlb/", 1);
+        assert_ne!(renamed, text);
+        assert_eq!(Records::from_json(&renamed), Records::new());
+        // Without its checksum, a file is taken as it decodes.
+        let field = ",\"checksum\":";
+        let at = renamed.find(field).unwrap();
+        let hex = at + field.len() + 1 + 32 + 1;
+        let unchecked = format!("{}{}", &renamed[..at], &renamed[hex..]);
+        assert!(!unchecked.contains("checksum"), "{unchecked}");
+        let mut other = records.clone();
+        let record = other.records.remove("kerla/health/redis").unwrap();
+        other
+            .records
+            .insert("kerlb/health/redis".to_owned(), record);
+        assert_eq!(Records::from_json(&unchecked), other);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! once: in the seven templates below.
 //!
 //! A key is a template's `*` segments joined by `/`, so a key maps to
-//! exactly one path and back. OS support specs ([`OS_DIR`]), the
+//! exactly one path and back — except in a [shared](Layout::shared)
+//! layout, whose keys carry one segment more than its paths: the keys
+//! that differ only there share one file. OS support specs ([`OS_DIR`]), the
 //! snapshots ([`INDEX_DIR`]) and the manifest's records files
 //! ([`MANIFEST_DIR`]) sit beside the namespaces; together with the
 //! namespaces' top-level directories they are reserved names that the
@@ -18,6 +20,7 @@
 //! `manifest`, and no app inside an environment may be called
 //! `matrix`).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,14 +29,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use loupe_core::{fingerprint_of, AppReport, Fingerprint, LINUX_ENV};
-use loupe_gentests::ConformanceSuite;
+use loupe_gentests::{ConformanceSuite, SuiteBody};
 use loupe_plan::{AppRequirement, MatrixCell, PlanValidation};
 use loupe_static::StaticReport;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    baseline_key, env_key, matrix_key, merge_reports, ns, plan_key, static_key, suite_key, Slots,
-    SnapshotSlot,
+    baseline_key, env_key, fingerprint_bytes, matrix_key, merge_reports, ns, plan_key, static_key,
+    suite_key, DbError, Slots, SnapshotSlot,
 };
 
 /// Directory of the exported OS support specs (`os/<name>.csv`).
@@ -66,6 +69,12 @@ pub struct Layout {
     pub os: Option<usize>,
     /// Key segment holding the app, if keys carry one.
     pub app: Option<usize>,
+    /// Key segment left out of the path, if any: the keys that differ
+    /// only there share one stored file (one suite body serves every
+    /// OS), so such a key exists by its manifest record (or, its
+    /// file's records lost, by the matrix holding cells of its OS), not
+    /// by a file of its own.
+    pub shared: Option<usize>,
 }
 
 /// A record's meta: small facts about its artifact, by name.
@@ -88,6 +97,53 @@ pub struct Namespace<T> {
     /// stored (after any merge), so later stages can use them without
     /// loading it.
     pub(crate) facts: Option<fn(&T) -> Meta>,
+    /// How a [shared](Layout::shared) layout's values are split into
+    /// the stored file and assembled back.
+    pub(crate) assembly: Option<Assembly<T>>,
+}
+
+/// How the values of a [shared](Layout::shared) layout are stored: the
+/// file holds the part the keys sharing it have in common (the body);
+/// the rest of each value is its key's shared segment and the matrix
+/// cell of its key.
+pub(crate) struct Assembly<T> {
+    /// The stored file's text for a value: its body, as pretty JSON.
+    pub(crate) body: fn(&T) -> Result<String, String>,
+    /// The values stored in one file, from its text: one per target.
+    pub(crate) assemble: fn(&str, &[Target<'_>]) -> Result<Vec<T>, String>,
+}
+
+/// What completes one key's value in a [shared](Layout::shared) layout:
+/// its shared segment and its matrix cell (`None` when no cell is
+/// stored).
+pub(crate) type Target<'a> = (&'a str, Option<&'a MatrixCell>);
+
+impl<T: Serialize> Namespace<T> {
+    /// The output fingerprint the record of `value` carries once it is
+    /// stored as it is: [`fingerprint_of`] it, but in a
+    /// [shared](Layout::shared) layout, [`fingerprint_bytes`] of the
+    /// text its file holds.
+    ///
+    /// # Errors
+    ///
+    /// A body that does not serialise.
+    pub fn output_of(&self, value: &T) -> Result<Fingerprint, DbError> {
+        match &self.assembly {
+            None => Ok(fingerprint_of(value)),
+            Some(assembly) => Ok(fingerprint_bytes(
+                self.body_text(assembly, value)?.as_bytes(),
+            )),
+        }
+    }
+
+    /// The text a [shared](Layout::shared) layout's file holds for
+    /// `value`.
+    pub(crate) fn body_text(&self, assembly: &Assembly<T>, value: &T) -> Result<String, DbError> {
+        (assembly.body)(value).map_err(|message| DbError::Corrupt {
+            path: self.layout.path(&(self.key)(value)),
+            message,
+        })
+    }
 }
 
 impl<T> fmt::Debug for Namespace<T> {
@@ -105,12 +161,14 @@ pub static BASELINES: Namespace<AppReport> = Namespace {
         template: "*/*",
         os: None,
         app: Some(0),
+        shared: None,
     },
     key: |r| baseline_key(&r.app, r.workload),
     merge: Some(merge_measurements),
     accept: AppReport::is_linux_baseline,
     slot: Some(|s| &s.baselines),
     facts: Some(baseline_facts),
+    assembly: None,
 };
 
 /// Reports measured on a restricted execution environment.
@@ -120,12 +178,14 @@ pub static ENV: Namespace<AppReport> = Namespace {
         template: "env/*/*/*",
         os: Some(0),
         app: Some(1),
+        shared: None,
     },
     key: |r| env_key(&r.env, &r.app, r.workload),
     merge: Some(merge_measurements),
     accept: |_| true,
     slot: None,
     facts: None,
+    assembly: None,
 };
 
 /// Fleet × OS matrix cells. A stored cell is composed with, not
@@ -138,12 +198,14 @@ pub static MATRIX: Namespace<MatrixCell> = Namespace {
         template: "env/*/matrix/*/*",
         os: Some(0),
         app: Some(1),
+        shared: None,
     },
     key: |c| matrix_key(&c.os, &c.app, c.workload),
     merge: Some(compose_tiers),
     accept: |_| true,
     slot: Some(|s| &s.matrix),
     facts: None,
+    assembly: None,
 };
 
 /// Plan validations: one deterministic replay of the current plan, so
@@ -154,12 +216,14 @@ pub static PLANS: Namespace<PlanValidation> = Namespace {
         template: "plans/*/*",
         os: Some(0),
         app: None,
+        shared: None,
     },
     key: |v| plan_key(&v.os, v.workload),
     merge: None,
     accept: |_| true,
     slot: None,
     facts: None,
+    assembly: None,
 };
 
 /// Static-analysis reports, keyed by precision level. Static analysis
@@ -170,28 +234,46 @@ pub static STATIC: Namespace<StaticReport> = Namespace {
         template: "static/*/*",
         os: None,
         app: Some(1),
+        shared: None,
     },
     key: |r| static_key(r.level, &r.app),
     merge: None,
     accept: |_| true,
     slot: Some(|s| &s.statics),
     facts: None,
+    assembly: None,
 };
 
 /// Conformance suites: a deterministic compilation of the current
-/// corpus, so a new suite overwrites the stored one.
+/// corpus, so a new suite overwrites the stored one. A suite's body
+/// ([`SuiteBody`]) does not depend on the OS, so the suites of one
+/// `(app, workload)` share one file, `gentests/<workload>/<app>.json`;
+/// each OS's suite exists by its record and takes its `os` from its
+/// key and its expected verdicts from its matrix cell, exactly as
+/// [`ConformanceSuite::generate`] does.
 pub static SUITES: Namespace<ConformanceSuite> = Namespace {
     layout: Layout {
         name: ns::SUITES,
-        template: "gentests/*/*/*",
+        template: "gentests/*/*",
         os: Some(0),
         app: Some(2),
+        shared: Some(0),
     },
     key: |s| suite_key(&s.os, &s.app, s.workload),
     merge: None,
     accept: |_| true,
-    slot: Some(|s| &s.suites),
+    slot: None,
     facts: None,
+    assembly: Some(Assembly {
+        body: |suite| serde_json::to_string_pretty(&suite.body()).map_err(|e| e.to_string()),
+        assemble: |text, targets| {
+            let body: SuiteBody = serde_json::from_str(text).map_err(|e| e.to_string())?;
+            Ok(targets
+                .iter()
+                .map(|(os, cell)| ConformanceSuite::assemble(os, body.clone(), *cell))
+                .collect())
+        },
+    }),
 };
 
 /// What a command rendered from the database, recorded so that a rerun
@@ -229,12 +311,14 @@ pub static RENDERED: Namespace<Rendered> = Namespace {
         template: "rendered/*",
         os: None,
         app: None,
+        shared: None,
     },
     key: |r| r.name.clone(),
     merge: None,
     accept: |_| true,
     slot: None,
     facts: None,
+    assembly: None,
 };
 
 /// Every namespace's layout, in display order (that of [`ns::ALL`]).
@@ -290,10 +374,47 @@ fn compose_tiers(stored: &MatrixCell, fresh: &MatrixCell) -> MatrixCell {
 }
 
 impl Layout {
+    /// The key of the file `key` is stored in: `key` itself, but for a
+    /// full key of a [shared](Self::shared) layout, `key` without its
+    /// shared segment (the keys [`walk`](Self::walk) lists).
+    pub fn file_key<'k>(&self, key: &'k str) -> Cow<'k, str> {
+        let stars = self.template.split('/').filter(|part| *part == "*").count();
+        match self.shared {
+            Some(at) if key.split('/').count() > stars => Cow::Owned(
+                key.split('/')
+                    .enumerate()
+                    .filter(|(i, _)| *i != at)
+                    .map(|(_, segment)| segment)
+                    .collect::<Vec<_>>()
+                    .join("/"),
+            ),
+            _ => Cow::Borrowed(key),
+        }
+    }
+
+    /// The key with the [shared](Self::shared) segment `segment` that
+    /// is stored in `file` (a key [`walk`](Self::walk) lists): the
+    /// inverse of [`file_key`](Self::file_key).
+    pub(crate) fn shared_key(&self, file: &str, segment: &str) -> String {
+        let mut segments: Vec<&str> = file.split('/').collect();
+        let at = self.shared.unwrap_or_default().min(segments.len());
+        segments.insert(at, segment);
+        segments.join("/")
+    }
+
+    /// The [shared](Self::shared) segment of `key` (empty when the
+    /// layout has none).
+    pub(crate) fn shared_segment<'k>(&self, key: &'k str) -> &'k str {
+        self.shared
+            .and_then(|at| key.split('/').nth(at))
+            .unwrap_or_default()
+    }
+
     /// Where the artifact stored under `key` lives, relative to the
     /// database root.
     pub fn path(&self, key: &str) -> PathBuf {
-        let mut segments = key.split('/');
+        let file_key = self.file_key(key);
+        let mut segments = file_key.split('/');
         let mut parts = self.template.split('/').peekable();
         let mut path = PathBuf::new();
         while let Some(part) = parts.next() {
@@ -327,7 +448,9 @@ impl Layout {
     /// Every key stored under `root`, in key order (segment by segment,
     /// so `a/x` sorts before `a-b/x`). Only `<segment>.json` files at
     /// the template's depth count: temp files, stray files and the
-    /// other namespaces' directories are skipped.
+    /// other namespaces' directories are skipped. For a
+    /// [shared](Self::shared) layout these are the keys of the files;
+    /// [`Database::keys`](crate::Database::keys) lists the full keys.
     pub fn walk(&self, root: &Path) -> io::Result<Vec<String>> {
         let parts: Vec<&str> = self.template.split('/').collect();
         // A template starting with `*` shares the root with the other

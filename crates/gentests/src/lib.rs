@@ -158,6 +158,41 @@ pub struct ConformanceSuite {
     pub cases: Vec<ConformanceCase>,
 }
 
+/// The part of a [`ConformanceSuite`] that does not depend on the
+/// target OS: everything but `os`, `expected` and `linux_pass`. The
+/// suites of one `(app, workload)` share it across every OS, so it is
+/// generated and stored once (`gentests/<workload>/<app>.json`).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SuiteBody {
+    /// Application whose corpus was compiled.
+    pub app: String,
+    /// Workload measured.
+    pub workload: Workload,
+    /// As [`ConformanceSuite::tolerated_stubs`].
+    pub tolerated_stubs: SysnoSet,
+    /// As [`ConformanceSuite::tolerated_stub_flags`].
+    #[serde(default)]
+    pub tolerated_stub_flags: Vec<SubFeatureKey>,
+    /// As [`ConformanceSuite::cases`].
+    pub cases: Vec<ConformanceCase>,
+}
+
+impl ExpectedVerdicts {
+    /// The verdicts a matrix cell recorded (both open without a cell).
+    pub fn of(cell: Option<&MatrixCell>) -> ExpectedVerdicts {
+        cell.map(|c| ExpectedVerdicts {
+            vanilla: c.vanilla.as_ref().map(|t| t.pass),
+            planned: match &c.planned {
+                Some(t) => Some(t.pass),
+                // The stored lower bound: a vanilla pass is a planned
+                // pass; a vanilla failure leaves planned open.
+                None => c.vanilla.as_ref().filter(|t| t.pass).map(|t| t.pass),
+            },
+        })
+        .unwrap_or_default()
+    }
+}
+
 /// What the kernel under test did with one case's probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaseObservation {
@@ -212,17 +247,11 @@ impl SuiteRun {
     }
 }
 
-impl ConformanceSuite {
-    /// Compiles an application's measurement corpus into a suite for
-    /// one OS. `report` must be the stored full-Linux baseline the
-    /// matrix cell was measured against; `cell` supplies the empirical
-    /// verdicts the suite will validate itself against (`None` leaves
-    /// the expectations open, e.g. for an OS the matrix has not swept).
-    pub fn generate(
-        os: &OsSpec,
-        report: &AppReport,
-        cell: Option<&MatrixCell>,
-    ) -> ConformanceSuite {
+impl SuiteBody {
+    /// Compiles an application's measurement corpus into the
+    /// OS-independent part of its suites. `report` must be the stored
+    /// full-Linux baseline the matrix cells were measured against.
+    pub fn generate(report: &AppReport) -> SuiteBody {
         let required = report.required();
         let stubbable = report.stubbable();
         let fake_only = report.fake_only();
@@ -355,27 +384,55 @@ impl ConformanceSuite {
             sub_feature: None,
         });
 
-        let expected = cell
-            .map(|c| ExpectedVerdicts {
-                vanilla: c.vanilla.as_ref().map(|t| t.pass),
-                planned: match &c.planned {
-                    Some(t) => Some(t.pass),
-                    // The stored lower bound: a vanilla pass is a planned
-                    // pass; a vanilla failure leaves planned open.
-                    None => c.vanilla.as_ref().filter(|t| t.pass).map(|t| t.pass),
-                },
-            })
-            .unwrap_or_default();
-
-        ConformanceSuite {
-            os: os.name.clone(),
+        SuiteBody {
             app: report.app.clone(),
             workload: report.workload,
-            linux_pass: cell.map(|c| c.linux_pass).unwrap_or(true),
             tolerated_stubs: stubbable,
             tolerated_stub_flags,
-            expected,
             cases,
+        }
+    }
+}
+
+impl ConformanceSuite {
+    /// Compiles an application's measurement corpus into a suite for
+    /// one OS. `report` must be the stored full-Linux baseline the
+    /// matrix cell was measured against; `cell` supplies the empirical
+    /// verdicts the suite will validate itself against (`None` leaves
+    /// the expectations open, e.g. for an OS the matrix has not swept).
+    pub fn generate(
+        os: &OsSpec,
+        report: &AppReport,
+        cell: Option<&MatrixCell>,
+    ) -> ConformanceSuite {
+        ConformanceSuite::assemble(&os.name, SuiteBody::generate(report), cell)
+    }
+
+    /// The suite for `os` built from a shared body: `cell`, the matrix
+    /// cell of the same `(os, app, workload)`, supplies the expected
+    /// verdicts and the Linux baseline verdict, exactly as
+    /// [`generate`](Self::generate) takes them.
+    pub fn assemble(os: &str, body: SuiteBody, cell: Option<&MatrixCell>) -> ConformanceSuite {
+        ConformanceSuite {
+            os: os.to_owned(),
+            app: body.app,
+            workload: body.workload,
+            linux_pass: cell.is_none_or(|c| c.linux_pass),
+            tolerated_stubs: body.tolerated_stubs,
+            tolerated_stub_flags: body.tolerated_stub_flags,
+            expected: ExpectedVerdicts::of(cell),
+            cases: body.cases,
+        }
+    }
+
+    /// The suite's OS-independent part.
+    pub fn body(&self) -> SuiteBody {
+        SuiteBody {
+            app: self.app.clone(),
+            workload: self.workload,
+            tolerated_stubs: self.tolerated_stubs.clone(),
+            tolerated_stub_flags: self.tolerated_stub_flags.clone(),
+            cases: self.cases.clone(),
         }
     }
 

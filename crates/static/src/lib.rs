@@ -49,10 +49,10 @@ use std::collections::VecDeque;
 use loupe_apps::program::{CallEdge, FuncId, NumberOperand, ProgramGraph};
 use loupe_apps::AppModel;
 use loupe_syscalls::{Sysno, SysnoSet};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// The result of a static analysis pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 pub struct StaticReport {
     /// Application name.
     pub app: String,
@@ -61,9 +61,29 @@ pub struct StaticReport {
     /// Every syscall the analyser attributes to the application.
     pub syscalls: SysnoSet,
     /// One witness per attributed syscall: the shortest entry→site call
-    /// path justifying it. Empty in reports stored by older versions.
+    /// path justifying it. Empty in stored reports (the database keeps
+    /// the attributed sets only; witnesses are re-derived from the
+    /// graph when shown), and then left out of the serialised form.
     #[serde(default)]
     pub witnesses: Vec<Witness>,
+}
+
+// By hand: the vendored derive honours `#[serde(default)]` only, and
+// would serialise an empty `witnesses` (`skip_serializing_if` is
+// accepted but ignored).
+impl Serialize for StaticReport {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, value: Value| (Value::Str(name.to_owned()), value);
+        let mut fields = vec![
+            field("app", self.app.to_value()),
+            field("level", self.level.to_value()),
+            field("syscalls", self.syscalls.to_value()),
+        ];
+        if !self.witnesses.is_empty() {
+            fields.push(field("witnesses", self.witnesses.to_value()));
+        }
+        Value::Map(fields)
+    }
 }
 
 impl StaticReport {

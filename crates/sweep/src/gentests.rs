@@ -5,9 +5,11 @@
 //! pure cache hits when the database is already populated. Stage 2 then
 //! compiles, for every `(os, workload, app)` cell with a stored
 //! baseline, the app's measurement corpus into a
-//! [`ConformanceSuite`](loupe_gentests::ConformanceSuite), persisting it
-//! under the database's `gentests/<os>/<workload>/<app>.json` namespace
-//! with skip-if-identical semantics. Every generated suite is
+//! [`ConformanceSuite`](loupe_gentests::ConformanceSuite). The
+//! OS-independent part, its [`SuiteBody`], is compiled once per
+//! `(app, workload)` and shared by the per-OS jobs; the database stores
+//! it once, under `gentests/<workload>/<app>.json`, with
+//! skip-if-identical semantics. Every generated suite is
 //! immediately **self-validated**: executed against the OS's vanilla
 //! and planned kernel profiles, its verdicts compared with the matrix
 //! cell's — a disagreement means the generator, the matrix sweep and
@@ -24,7 +26,7 @@ use std::convert::Infallible;
 use loupe_apps::{AppModel, Workload};
 use loupe_core::fingerprint_of;
 use loupe_db::{ns, store, ArtifactRecord, Database, DbError};
-use loupe_gentests::ConformanceSuite;
+use loupe_gentests::{ConformanceSuite, SuiteBody};
 use loupe_plan::Tier;
 
 use crate::matrix::{sweep_matrix, MatrixConfig};
@@ -148,7 +150,7 @@ pub fn sweep_gentests(
             });
         }
     }
-    let reports = PerMeasurement::new(measured);
+    let bodies = PerMeasurement::new(measured);
 
     /// One suite's verdict aggregate — what its manifest meta records.
     struct Verdicts {
@@ -177,17 +179,21 @@ pub fn sweep_gentests(
     };
     let sweep = &cfg.matrix.sweep;
     let stage = Stage::new(db, &store::SUITES, sweep.workers, sweep.force);
-    // A derive regenerates the suite and compares it with the stored one
-    // (`Some(identical)`); check mode stops there and reports a
-    // mismatch as stale (`Some(false)`). Otherwise the suite is
+    // A derive regenerates the suite and compares what it stores, its
+    // body, with what its key last stored (`Some(identical)`); check
+    // mode stops there and reports a mismatch as stale (`Some(false)`). Otherwise the suite is
     // committed — an identical one only heals its provenance — and a
     // changed or new one counts as generated (`None`).
     let outcomes = stage.run(&jobs, accept, |job, why| {
         let (os, i, mkey) = &job.item;
         let cell = db.get(&store::MATRIX, mkey)?;
-        let report = reports.get(*i, || measured[*i].load(db))?;
-        let suite = ConformanceSuite::generate(os, &report, cell.as_ref());
-        let identical = !sweep.force && db.get(&store::SUITES, &job.key)?.as_ref() == Some(&suite);
+        let body = bodies.get(*i, || Ok(SuiteBody::generate(&measured[*i].load(db)?)))?;
+        let suite = ConformanceSuite::assemble(&os.name, SuiteBody::clone(&body), cell.as_ref());
+        // The body is shared with the other OSes' jobs, which may have
+        // rewritten it already: what this key last stored is its record.
+        let identical = !sweep.force
+            && db.record(ns::SUITES, &job.key).map(|r| r.output)
+                == Some(store::SUITES.output_of(&suite)?);
         let verdicts = Verdicts {
             cases: suite.cases.len(),
             vanilla_pass: suite.verdict(os, Tier::Vanilla),
@@ -351,6 +357,38 @@ mod tests {
         assert_eq!(checked.cached, 8);
         assert!(checked.stale.is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_changed_corpus_regenerates_every_os_suite_at_any_worker_count() {
+        let oses = vec![os::find("kerla").unwrap(), os::find("gvisor").unwrap()];
+        let apps = || -> Vec<_> { registry::detailed().into_iter().take(2).collect() };
+        for workers in [1, 2] {
+            let dir = tmpdir(&format!("corpus-{workers}"));
+            let db = Database::open(&dir).unwrap();
+            sweep_gentests(&db, apps(), &small_cfg(oses.clone(), workers)).unwrap();
+            // One app's corpus changes: its baseline loses a class,
+            // committed with the inputs the sweep recorded, so the next
+            // sweep takes it as measured.
+            let key = loupe_db::baseline_key(apps()[0].name(), Workload::HealthCheck);
+            let mut report = db.get(&store::BASELINES, &key).unwrap().unwrap();
+            let first = *report.classes.keys().next().unwrap();
+            report.classes.remove(&first);
+            let record = db.record(ns::BASELINES, &key).unwrap();
+            db.commit(
+                &store::BASELINES,
+                &report,
+                loupe_db::Derive::Stale,
+                record.inputs.unwrap(),
+                record.meta,
+            )
+            .unwrap();
+            // Each OS's suite of it is regenerated, whichever job
+            // rewrites the body they share first.
+            let again = sweep_gentests(&db, apps(), &small_cfg(oses.clone(), workers)).unwrap();
+            assert_eq!((again.generated, again.cached), (2, 2), "{workers} workers");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -531,7 +531,7 @@ pub fn render_conformance(suites: &[ConformanceSuite]) -> String {
          baseline trace, stub/fake classifications, fallback requirements and\n\
          impact data — into an *executable* conformance suite: an ordered,\n\
          minimal sequence of syscall cases a compatibility layer can run\n\
-         against its own kernel (`gentests/<os>/<workload>/<app>.json` in the\n\
+         against its own kernel (`gentests/<workload>/<app>.json` in the\n\
          database). *Implement* cases demand a real implementation; *fake*\n\
          cases accept a success shim; measured-stubbable syscalls carry no\n\
          case at all — `-ENOSYS` is tolerated there by construction. Every\n\

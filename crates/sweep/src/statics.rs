@@ -28,7 +28,7 @@ use std::convert::Infallible;
 use std::fmt;
 use std::fmt::Write as _;
 
-use loupe_apps::{AppModel, ProgramGraph, Workload};
+use loupe_apps::{registry, AppModel, ProgramGraph, Workload};
 use loupe_core::{fingerprint_of, AppReport};
 use loupe_db::store::{self, Layout, Rendered};
 use loupe_db::{Database, DbError};
@@ -118,7 +118,12 @@ pub fn sweep_static_levels(
     let outcomes = stage.run(&jobs, stage::any, |job, why| {
         let (a, level) = job.item;
         let graph = graphs[a].get_or_init(|| ProgramGraph::lower(apps[a].as_ref()));
-        let report = analyze_graph(graph, level);
+        // Stored without witnesses: `compare` re-derives the two it
+        // shows, and `statics --explain` any other.
+        let report = StaticReport {
+            witnesses: Vec::new(),
+            ..analyze_graph(graph, level)
+        };
         stage.commit(job, why, &report, BTreeMap::new())?;
         Ok::<_, Failed<Infallible>>(report)
     });
@@ -339,7 +344,7 @@ pub struct Comparison {
     /// Per-curated-OS plan-size deltas.
     pub plan_deltas: Vec<PlanDelta>,
     /// Worked witness examples (deterministically chosen; empty when
-    /// the stored reports predate witnesses).
+    /// the registry models none of the compared apps).
     pub witness_examples: Vec<WitnessExample>,
 }
 
@@ -504,7 +509,6 @@ fn compare_workload(
     let mut fleet_used = SysnoSet::new();
     let mut fleet_required = SysnoSet::new();
     let mut fleet_static_sets: [SysnoSet; 4] = Default::default();
-    let mut witness_examples = Vec::new();
 
     for report in reports {
         let ladder: Vec<&StaticReport> = Level::ALL
@@ -572,41 +576,6 @@ fn compare_workload(
             // implement everything it reports — exactly the
             // misdirection the paper quantifies.
             level_reqs[i].push(static_requirement(r));
-        }
-
-        // Two worked examples from the first app whose reports carry
-        // witnesses (reports are sorted by app, so this is stable):
-        // the deepest L3 path, and a syscall only the naive L0 view
-        // attributes.
-        if witness_examples.is_empty() && !ladder[3].witnesses.is_empty() {
-            if let Some(w) = ladder[3]
-                .witnesses
-                .iter()
-                .max_by_key(|w| (w.path.len(), std::cmp::Reverse(w.sysno)))
-            {
-                witness_examples.push(WitnessExample {
-                    app: report.app.clone(),
-                    level: Level::L3,
-                    sysno: w.sysno,
-                    rendered: w.render(),
-                    note: "deepest source-level (L3) attribution path".to_owned(),
-                });
-            }
-            if let Some(w) = ladder[0]
-                .witnesses
-                .iter()
-                .find(|w| !ladder[3].syscalls.contains(w.sysno))
-            {
-                witness_examples.push(WitnessExample {
-                    app: report.app.clone(),
-                    level: Level::L0,
-                    sysno: w.sysno,
-                    rendered: w.render(),
-                    note: "attributed only by the naive binary view (L0); \
-                           every finer level prunes it"
-                        .to_owned(),
-                });
-            }
         }
 
         statics_l0.push(ladder[0]);
@@ -677,8 +646,56 @@ fn compare_workload(
         fleet_dynamic_required: fleet_required.len(),
         rank_shifts,
         plan_deltas,
-        witness_examples,
+        witness_examples: witness_examples(reports),
     })
+}
+
+/// Two worked examples from the first compared app the registry still
+/// models (reports are sorted by app, so the pick is stable): the
+/// deepest L3 path, and a syscall only the naive L0 view attributes.
+/// Stored static reports carry no witnesses, so the app's graph is
+/// lowered and analysed again at those two levels: one app's share of
+/// what a cold static sweep does for the whole fleet.
+fn witness_examples(reports: &[AppReport]) -> Vec<WitnessExample> {
+    for report in reports {
+        let Some(model) = registry::find(&report.app) else {
+            continue;
+        };
+        let graph = ProgramGraph::lower(model.as_ref());
+        let (l0, l3) = (
+            analyze_graph(&graph, Level::L0),
+            analyze_graph(&graph, Level::L3),
+        );
+        let mut examples = Vec::new();
+        if let Some(w) = l3
+            .witnesses
+            .iter()
+            .max_by_key(|w| (w.path.len(), std::cmp::Reverse(w.sysno)))
+        {
+            examples.push(WitnessExample {
+                app: report.app.clone(),
+                level: Level::L3,
+                sysno: w.sysno,
+                rendered: w.render(),
+                note: "deepest source-level (L3) attribution path".to_owned(),
+            });
+        }
+        if let Some(w) = l0.witnesses.iter().find(|w| !l3.syscalls.contains(w.sysno)) {
+            examples.push(WitnessExample {
+                app: report.app.clone(),
+                level: Level::L0,
+                sysno: w.sysno,
+                rendered: w.render(),
+                note: "attributed only by the naive binary view (L0); \
+                       every finer level prunes it"
+                    .to_owned(),
+            });
+        }
+        if !examples.is_empty() {
+            return examples;
+        }
+    }
+    Vec::new()
 }
 
 /// The planner's view of a static report: everything the analyser saw
@@ -1048,7 +1065,8 @@ mod tests {
             c.rank_shifts.len(),
             RANK_SHIFT_ROWS.min(c.rank_shifts.len())
         );
-        // Fresh sweeps carry witnesses, so the worked examples exist.
+        // The first app's graph is lowered again for the worked
+        // examples, so they exist though no stored report has witnesses.
         assert_eq!(c.witness_examples.len(), 2, "{:?}", c.witness_examples);
         assert!(c.witness_examples[0].rendered.contains("crt::_start"));
         std::fs::remove_dir_all(&dir).ok();

@@ -7,13 +7,16 @@
 //!
 //! Plus the golden determinism check: the persisted suite files and the
 //! rendered `CONFORMANCE.md` are byte-identical regardless of how many
-//! workers generated them.
+//! workers generated them; and the storage check: suites stored as one
+//! body per (app, workload) read back as exactly the generated suites,
+//! also once their records are lost.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use loupe::apps::{registry, Workload};
 use loupe::db::{store, Database};
+use loupe::gentests::{ConformanceSuite, ExpectedVerdicts};
 use loupe::plan::{os, Tier};
 use loupe::sweep::{report, sweep_gentests, GentestsConfig, MatrixConfig, SweepConfig};
 
@@ -189,7 +192,11 @@ fn suite_output_is_byte_identical_across_worker_counts() {
 
     let files_serial = suite_files(&dir_serial);
     let files_parallel = suite_files(&dir_parallel);
-    assert_eq!(files_serial.len(), 12);
+    assert_eq!(
+        files_serial.len(),
+        6,
+        "one body per app, shared by both OSes"
+    );
     assert_eq!(
         files_serial, files_parallel,
         "persisted suites are byte-identical across worker counts"
@@ -207,4 +214,97 @@ fn suite_output_is_byte_identical_across_worker_counts() {
     assert_eq!(doc(&db_serial), doc(&db_parallel));
     std::fs::remove_dir_all(&dir_serial).ok();
     std::fs::remove_dir_all(&dir_parallel).ok();
+}
+
+/// Suites are stored as one body per (app, workload) and assembled on
+/// read, so every stored suite — by point read and by bulk load — must
+/// equal what `ConformanceSuite::generate` compiles from the stored
+/// baseline and matrix cell, for every OS. A suite for an OS without a
+/// matrix cell reads with its expectations open and a passing Linux
+/// verdict, as `generate` gives it without a cell.
+#[test]
+fn assembled_suites_equal_directly_generated_ones() {
+    let dir = tmpdir("assembled");
+    let db = Database::open(&dir).unwrap();
+    let mut oses = os::db();
+    let unswept = oses.pop().unwrap();
+    let apps = || -> Vec<_> { registry::detailed().into_iter().take(3).collect() };
+    let summary = sweep_gentests(
+        &db,
+        apps(),
+        &cfg(vec![Workload::HealthCheck], oses.clone(), 2),
+    )
+    .unwrap();
+    assert!(summary.is_clean(), "{:?}", summary.disagreements);
+    assert_eq!(suite_files(&dir).len(), 3, "one body per app");
+
+    let mut generated = Vec::new();
+    for spec in &oses {
+        for m in &summary.base.measurements {
+            let report = db
+                .get(
+                    &store::BASELINES,
+                    &loupe::db::baseline_key(&m.app, m.workload),
+                )
+                .unwrap()
+                .unwrap();
+            let cell = db
+                .get(
+                    &store::MATRIX,
+                    &loupe::db::matrix_key(&spec.name, &m.app, m.workload),
+                )
+                .unwrap();
+            assert!(cell.is_some(), "{} x {} has a cell", spec.name, m.app);
+            let want = ConformanceSuite::generate(spec, &report, cell.as_ref());
+            let key = loupe::db::suite_key(&spec.name, &m.app, m.workload);
+            assert_eq!(
+                db.get(&store::SUITES, &key).unwrap().as_ref(),
+                Some(&want),
+                "{key}"
+            );
+            generated.push(want);
+        }
+    }
+
+    // An OS the matrix has not swept: no cell, so open expectations.
+    let m = &summary.base.measurements[0];
+    let report = db
+        .get(
+            &store::BASELINES,
+            &loupe::db::baseline_key(&m.app, m.workload),
+        )
+        .unwrap()
+        .unwrap();
+    let cellless = ConformanceSuite::generate(&unswept, &report, None);
+    assert_eq!(cellless.expected, ExpectedVerdicts::default());
+    assert!(cellless.linux_pass);
+    db.put(&store::SUITES, &cellless).unwrap();
+    let key = loupe::db::suite_key(&unswept.name, &m.app, m.workload);
+    assert_eq!(
+        db.get(&store::SUITES, &key).unwrap(),
+        Some(cellless.clone())
+    );
+    assert_eq!(suite_files(&dir).len(), 3, "the body is shared, not copied");
+    generated.push(cellless);
+
+    generated.sort_by(|a, b| {
+        (&a.os, a.workload.label(), &a.app).cmp(&(&b.os, b.workload.label(), &b.app))
+    });
+    assert_eq!(db.load_suites().unwrap(), generated);
+    drop(db);
+    let reopened = Database::open(&dir).unwrap();
+    assert_eq!(reopened.load_suites().unwrap(), generated);
+    drop(reopened);
+
+    // Records lost: each body's suites are re-learned for every OS the
+    // matrix holds cells of, so only the unswept OS's suite, which its
+    // record alone named, is gone.
+    let records = loupe::db::records_path(&dir, loupe::db::ns::SUITES);
+    std::fs::remove_file(records).unwrap();
+    generated.retain(|suite| suite.os != unswept.name);
+    let relearned = Database::open(&dir).unwrap();
+    assert_eq!(relearned.load_suites().unwrap(), generated);
+    let key = loupe::db::suite_key(&oses[0].name, &m.app, m.workload);
+    assert!(relearned.get(&store::SUITES, &key).unwrap().is_some());
+    std::fs::remove_dir_all(&dir).ok();
 }
