@@ -27,29 +27,29 @@ pub fn analyze_apps_with(
         .map(|n| n.get())
         .unwrap_or(4)
         .min(16);
-    let queue: crossbeam::queue::SegQueue<Box<dyn AppModel>> = crossbeam::queue::SegQueue::new();
-    for app in apps {
-        queue.push(app);
-    }
-    let results = crossbeam::queue::SegQueue::new();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let engine = Engine::new(cfg.clone());
-                while let Some(app) = queue.pop() {
-                    match engine.analyze(app.as_ref(), workload) {
-                        Ok(report) => results.push(report),
-                        Err(e) => eprintln!("warning: skipping {}: {e}", app.name()),
+    let queue = std::sync::Mutex::new(apps.into_iter());
+    let mut out: Vec<AppReport> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let engine = Engine::new(cfg.clone());
+                    let mut reports = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("queue poisoned").next();
+                        let Some(app) = next else { break reports };
+                        match engine.analyze(app.as_ref(), workload) {
+                            Ok(report) => reports.push(report),
+                            Err(e) => eprintln!("warning: skipping {}: {e}", app.name()),
+                        }
                     }
-                }
-            });
-        }
-    })
-    .expect("analysis worker panicked");
-    let mut out = Vec::new();
-    while let Some(r) = results.pop() {
-        out.push(r);
-    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("analysis worker panicked"))
+            .collect()
+    });
     out.sort_by(|a, b| a.app.cmp(&b.app));
     out
 }

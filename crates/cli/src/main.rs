@@ -31,6 +31,10 @@ use loupe_db::{store, CacheStats, Database, Derive};
 use loupe_plan::{api_importance, os, AppRequirement, CompatTable, SupportPlan};
 use loupe_sweep::{report, Sweep, SweepConfig, TransferConfig};
 
+mod args;
+
+use args::{Args, Command, Flag, Operands, Parsed};
+
 fn main() -> ExitCode {
     // Behave like a Unix tool when piped into head/grep: die on SIGPIPE
     // instead of panicking on a failed print.
@@ -39,34 +43,18 @@ fn main() -> ExitCode {
     unsafe {
         libc::signal(libc::SIGPIPE, libc::SIG_DFL);
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.is_empty() {
+        eprintln!("{}", args::usage(COMMANDS));
         return ExitCode::FAILURE;
-    };
-    let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "list" => cmd_list(),
-        "analyze" => cmd_analyze(rest),
-        "sweep" => cmd_sweep(rest),
-        "compare" => cmd_compare(rest),
-        "statics" => cmd_statics(rest),
-        "report" => cmd_report(rest),
-        "gentests" => cmd_gentests(rest),
-        "cache" => cmd_cache(rest),
-        "plan" => cmd_plan(rest),
-        "serve" => cmd_serve(rest),
-        "query" => cmd_query(rest),
-        "os-list" => cmd_os_list(),
-        "ingest" => cmd_ingest(rest),
-        "importance" => cmd_importance(rest),
-        "trace" => cmd_trace(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+    }
+    let result = args::parse(COMMANDS, &argv).and_then(|parsed| match parsed {
+        Parsed::Help(text) => {
+            println!("{text}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
+        Parsed::Run(args) => (args.command.run)(&args),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -76,187 +64,168 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: loupe <command> [options]
+const DB: Flag = ("--db", "DIR", "the database (default: target/loupedb)");
+const APPS: Flag = ("--apps", "a,b,c", "restrict to named apps");
+const SHARD: Flag = ("--shard", "I/N", "analyze dataset shard I of N");
+const WORKERS: Flag = ("--workers", "N", "worker threads (default: min(cpus, 16))");
+const JOBS: Flag = ("--jobs", "N", "per-app probe workers (default: 1)");
+const WORKLOADS: Flag = ("--workload", "health|bench|suite|all", "(default: bench)");
 
-commands:
-  list                         list applications in the registry
-  analyze <app>                measure an application's OS-feature needs
-      --workload health|bench|suite   (default: bench)
-      --replicas N                    (default: 1)
-      --jobs N                        probe-scheduler workers (default: 1; 0 = auto)
-      --sub-features                  classify vectored-syscall features too
-      --json                          print the full report as JSON
-      --db DIR                        store the report in a database
-  sweep                        analyze the whole fleet and persist to a db
-      --db DIR                        database directory (default: target/loupedb)
-      --workload health|bench|suite|all   (default: bench)
-      --apps a,b,c                    restrict to named apps (default: full dataset)
-      --shard I/N                     analyze dataset shard I of N
-      --workers N                     worker threads (default: min(cpus, 16))
-      --jobs N                        per-app probe-scheduler workers (default: 1)
-      --os <name>                     also run the fleet x OS empirical matrix
-                                      against one curated OS kernel profile
-      --all-os                        ... against all 11 curated OS profiles;
-                                      cells persist under the db's env/<os>/matrix
-                                      namespace and render into docs/OS_MATRIX.md
-      --tier vanilla|planned          restrict matrix measurement to one
-                                      remediation tier (default: both)
-      --transfer                      two-pass §6 hint transfer (seed, then hinted rest)
-      --min-agreement K               seed reports that must agree to hint (default: 3)
-      --transfer-seed N               apps measured in full as the seed (default: 8)
-      --force                         re-measure cached entries (conservative merge)
-      --static                        also run the static precision ladder
-                                      (L0-L3 graph reachability) over the fleet;
-                                      persist under the db's static/ namespace
-                                      (needed by `compare` and the generated
-                                      STATIC_VS_DYNAMIC.md)
-      --validate-plans                replay every curated OS's support plan on a
-                                      restricted kernel; persist verdicts in the db
-  compare                      static-vs-dynamic comparison (Figs. 4-7): per-app
-                               overestimation factors at every precision level,
-                               importance rank shifts and per-OS plan-size
-                               deltas; exits 1 if the containment chain
-                               dynamic ⊆ L3 ⊆ L2 ⊆ L1 ⊆ L0 is violated anywhere
-      --db DIR                        database directory (default: target/loupedb)
-      --workers N                     static-analysis worker threads (default: auto)
-  statics                      run the static precision ladder over the fleet:
-                               each app is lowered to a whole-program call graph
-                               and analysed by reachability at L0 (naive binary),
-                               L1 (signature-pruned), L2 (constant propagation)
-                               and L3 (source level)
-      --db DIR                        database directory (default: target/loupedb)
-      --app NAME                      restrict to one app (also --apps/--shard)
-      --level l0|l1|l2|l3|all         comma-separated levels (default: all;
-                                      binary/source alias l0/l3)
-      --workers N                     worker threads (default: min(cpus, 16))
-      --force                         re-analyse cached entries
-      --explain <app> <syscall>       print the witness call path behind an
-                                      attribution at every level, re-verified
-                                      against the graph; exits 1 if no level
-                                      attributes the syscall
-  report                       render a sweep db as Markdown documentation
-      --db DIR                        database directory (default: target/loupedb)
-      --docs DIR                      output directory (default: docs)
-      --check                         verify the docs match the db; exit 1 on drift
-  gentests                     compile stored measurement corpora into executable
-                               per-app conformance suites, self-validated against
-                               the matrix verdicts; exits 1 on any disagreement
-      --db DIR                        database directory (default: target/loupedb)
-      --os <name> | --all-os          target one curated OS, or all 11 (required)
-      --app <name>                    restrict to one application
-      --apps a,b,c                    restrict to named apps (or --shard I/N)
-      --workload health|bench|suite|all   (default: bench)
-      --workers N                     worker threads (default: min(cpus, 16))
-      --jobs N                        per-app probe-scheduler workers (default: 1)
-      --force                         regenerate suites already stored
-      --check                         verify stored suites match the corpus; write
-                                      nothing and exit 1 on stale/missing suites
-      --out DIR                       also export the generated suite JSON files
-                                      under DIR/<os>/<workload>/<app>.json
-  cache stats                  show the incremental-cache manifest: entries and
-                               provenance coverage per namespace, plus the
-                               hit/miss/stale counters of the last sweep
-      --db DIR                        database directory (default: target/loupedb)
-  cache invalidate             drop provenance records so the next sweep
-                               re-measures the matching cells (artifacts stay;
-                               only the is-this-current? answer is forgotten)
-      --db DIR                        database directory (default: target/loupedb)
-      --os <name>                     cells measured against one curated OS
-      --app <name>                    cells derived from one application
-      --all                           every record in every namespace
-  plan --os <name|file.csv>    incremental support plan for an OS
-      --workload health|bench|suite   (default: bench)
-      --apps a,b,c                    target apps (default: 15 cloud apps)
-      --db DIR                        reuse measurements from a database
-      --validate                      replay the plan step-by-step on a restricted
-                                      kernel (fails unless every step unlocks its
-                                      app at step k and not at k-1); with --db the
-                                      verdict is persisted for `loupe report`
-  serve                        long-running query daemon: loads the db once,
-                               compiles it into an in-memory verdict
-                               index and answers length-prefixed JSON
-                               queries over TCP (protocol: docs/SERVING.md)
-      --db DIR                        database directory (default: target/loupedb)
-      --addr A                        bind address (default: 127.0.0.1:7071;
-                                      port 0 picks a free port)
-      --threads N                     max concurrent connections (default: 1024)
-      --watch-ms N                    db-change poll interval in milliseconds
-                                      (default: 200; 0 disables the watcher)
-      --eager                         build the plan/inverted-syscall tables at
-                                      startup instead of on first query
-  query                        ask a running daemon one question
-      --addr A                        daemon address (default: 127.0.0.1:7071)
-      --os X --app Y                  compatibility verdict (the default mode)
-      --workload health|bench|suite   (default: health)
-      --tier vanilla|planned          (default: planned)
-      --summary                       fleet pass-rate summary instead
-      --missing                       top syscalls blocking apps on --os
-      --limit N                       rows for --missing (default: 10)
-      --plan                          cheapest support plan for --os
-      --apps-requiring <syscall>      apps whose required set contains it
-      --json                          print the raw response JSON
-      --offline                       answer from --db DIR directly (no daemon;
-                                      same resolution code, default db above)
-  os-list                      show the curated OS support specs
-  ingest --from <file.md>      parse a kerla-style markdown compatibility table
-                               (| No | Name | Implementation Status | ... |)
-                               into a kernel support spec with per-flag holes
-      --os <name>                     spec name (default: the file stem)
-      --version V                     spec version string (default: ingested)
-      --overrides <file>              refine pessimistically-seeded flag holes
-                                      (`supported fcntl:F_SETFL` / `hole ...`)
-      --check                         verify the table renders back byte-stably
-                                      AND, when --os names a curated OS, that
-                                      the ingested spec matches the curated one;
-                                      exit 1 on any mismatch
-      --json                          print the ingested spec as JSON
-  importance                   rank syscalls by how many apps require them
-      --workload health|bench|suite   (default: health)
-      --apps N                        dataset size (default: 116)
-  trace -- <cmd> [args...]     trace a real binary with ptrace
-  help                         this message";
-
-/// Checks `cmd`'s flags before it does anything: `--help` prints `cmd`'s
-/// block of [`USAGE`] and returns `Ok(true)`, so the caller returns
-/// without running; any other flag not in `known` is an error naming it.
-fn help_or_reject_unknown(cmd: &str, args: &[String], known: &[&str]) -> Result<bool, String> {
-    if args.iter().any(|a| a == "--help") {
-        println!("{}", usage_of(cmd));
-        return Ok(true);
-    }
-    match args
-        .iter()
-        .find(|a| a.starts_with('-') && !known.contains(&a.as_str()))
-    {
-        Some(flag) => Err(format!(
-            "{cmd}: unknown flag `{flag}` (see `loupe {cmd} --help`)"
-        )),
-        None => Ok(false),
-    }
-}
-
-/// `cmd`'s blocks of [`USAGE`] (`cache` has two): each line naming it
-/// and the more deeply indented lines under it.
-fn usage_of(cmd: &str) -> String {
-    let mut inside = false;
-    let mut block = Vec::new();
-    for line in USAGE.lines() {
-        if !line.starts_with("   ") {
-            inside = line.starts_with("  ") && line.split_whitespace().next() == Some(cmd);
-        }
-        if inside {
-            block.push(line);
-        }
-    }
-    block.join("\n")
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+/// Every subcommand, in the order `loupe help` lists them.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "list", operands: Operands::None, run: cmd_list, flags: &[],
+        about: "list applications in the registry" },
+    Command { name: "analyze", operands: Operands::One("<app>"), run: cmd_analyze,
+        about: "measure an application's OS-feature needs",
+        flags: &[
+            ("--workload", "health|bench|suite", "(default: bench)"),
+            ("--replicas", "N", "(default: 1)"),
+            ("--jobs", "N", "probe-scheduler workers (default: 1; 0 = auto)"),
+            ("--sub-features", "", "classify vectored-syscall features too"),
+            ("--json", "", "print the full report as JSON"),
+            ("--db", "DIR", "store the report in a database"),
+        ] },
+    Command { name: "sweep", operands: Operands::None, run: cmd_sweep,
+        about: "analyze the whole fleet and persist to a db",
+        flags: &[
+            DB, WORKLOADS, APPS, SHARD, WORKERS, JOBS,
+            ("--os", "<name>", "also run the fleet x OS empirical matrix against one curated OS kernel profile"),
+            ("--all-os", "", "... against all 11 curated OS profiles; cells persist under the db's \
+              env/<os>/matrix namespace and render into docs/OS_MATRIX.md"),
+            ("--tier", "vanilla|planned", "restrict matrix measurement to one remediation tier \
+              (default: both)"),
+            ("--transfer", "", "two-pass §6 hint transfer (seed, then hinted rest)"),
+            ("--min-agreement", "K", "seed reports that must agree to hint (default: 3)"),
+            ("--transfer-seed", "N", "apps measured in full as the seed (default: 8)"),
+            ("--force", "", "re-measure cached entries (conservative merge)"),
+            ("--static", "", "also run the static precision ladder (L0-L3 graph reachability) over \
+              the fleet; persist under the db's static/ namespace (needed by `compare` and the \
+              generated STATIC_VS_DYNAMIC.md)"),
+            ("--validate-plans", "", "replay every curated OS's support plan on a restricted \
+              kernel; persist verdicts in the db"),
+        ] },
+    Command { name: "compare", operands: Operands::None, run: cmd_compare,
+        about: "static-vs-dynamic comparison (Figs. 4-7): per-app overestimation factors at every \
+          precision level, importance rank shifts and per-OS plan-size deltas; exits 1 if the \
+          containment chain dynamic ⊆ L3 ⊆ L2 ⊆ L1 ⊆ L0 is violated anywhere",
+        flags: &[DB, ("--workers", "N", "static-analysis worker threads (default: auto)")] },
+    Command { name: "statics", operands: Operands::None, run: cmd_statics,
+        about: "run the static precision ladder over the fleet: each app is lowered to a \
+          whole-program call graph and analysed by reachability at L0 (naive binary), L1 \
+          (signature-pruned), L2 (constant propagation) and L3 (source level)",
+        flags: &[
+            DB,
+            ("--app", "NAME", "restrict to one app"),
+            APPS, SHARD,
+            ("--level", "l0|l1|l2|l3|all", "comma-separated levels (default: all; binary/source \
+              alias l0/l3)"),
+            WORKERS,
+            ("--force", "", "re-analyse cached entries"),
+            ("--explain", "<app> <syscall>", "print the witness call path behind an attribution at \
+              every level, re-verified against the graph; exits 1 if no level attributes the \
+              syscall"),
+        ] },
+    Command { name: "report", operands: Operands::None, run: cmd_report,
+        about: "render a sweep db as Markdown documentation",
+        flags: &[
+            DB,
+            ("--docs", "DIR", "output directory (default: docs)"),
+            ("--check", "", "verify the docs match the db; exit 1 on drift"),
+        ] },
+    Command { name: "gentests", operands: Operands::None, run: cmd_gentests,
+        about: "compile stored measurement corpora into executable per-app conformance suites, \
+          self-validated against the matrix verdicts; exits 1 on any disagreement",
+        flags: &[
+            DB,
+            ("--os", "<name>", "target one curated OS (this or --all-os is required)"),
+            ("--all-os", "", "target all 11 curated OSes"),
+            ("--app", "<name>", "restrict to one application"),
+            APPS, SHARD, WORKLOADS, WORKERS, JOBS,
+            ("--force", "", "regenerate suites already stored"),
+            ("--check", "", "verify stored suites match the corpus; write nothing and exit 1 on \
+              stale/missing suites"),
+            ("--out", "DIR", "also export the generated suite JSON files under \
+              DIR/<os>/<workload>/<app>.json"),
+        ] },
+    Command { name: "cache stats", operands: Operands::None, run: cmd_cache_stats,
+        about: "show the incremental-cache manifest: entries and provenance coverage per \
+          namespace, plus the hit/miss/stale counters of the last sweep",
+        flags: &[DB] },
+    Command { name: "cache invalidate", operands: Operands::None, run: cmd_cache_invalidate,
+        about: "drop provenance records so the next sweep re-measures the matching cells \
+          (artifacts stay; only the is-this-current? answer is forgotten)",
+        flags: &[
+            DB,
+            ("--os", "<name>", "cells measured against one curated OS"),
+            ("--app", "<name>", "cells derived from one application"),
+            ("--all", "", "every record in every namespace"),
+        ] },
+    Command { name: "plan", operands: Operands::None, run: cmd_plan,
+        about: "incremental support plan for an OS",
+        flags: &[
+            ("--os", "<name|file.csv>", "the OS (required)"),
+            ("--workload", "health|bench|suite", "(default: bench)"),
+            ("--apps", "a,b,c", "target apps (default: 15 cloud apps)"),
+            ("--db", "DIR", "reuse measurements from a database"),
+            ("--validate", "", "replay the plan step-by-step on a restricted kernel (fails unless \
+              every step unlocks its app at step k and not at k-1); with --db the verdict is \
+              persisted for `loupe report`"),
+        ] },
+    Command { name: "serve", operands: Operands::None, run: cmd_serve,
+        about: "long-running query daemon: loads the db once, compiles it into an in-memory \
+          verdict index and answers length-prefixed JSON queries over TCP (protocol: \
+          docs/SERVING.md)",
+        flags: &[
+            DB,
+            ("--addr", "A", "bind address (default: 127.0.0.1:7071; port 0 picks a free port)"),
+            ("--threads", "N", "max concurrent connections (default: 1024)"),
+            ("--watch-ms", "N", "db-change poll interval in milliseconds (default: 200; 0 \
+              disables the watcher)"),
+            ("--eager", "", "build the plan/inverted-syscall tables at startup instead of on \
+              first query"),
+        ] },
+    Command { name: "query", operands: Operands::None, run: cmd_query,
+        about: "ask a running daemon one question",
+        flags: &[
+            ("--addr", "A", "daemon address (default: 127.0.0.1:7071)"),
+            ("--os", "X", "compatibility verdict for this OS (the default mode, with --app)"),
+            ("--app", "Y", "... and this application"),
+            ("--workload", "health|bench|suite", "(default: health)"),
+            ("--tier", "vanilla|planned", "(default: planned)"),
+            ("--summary", "", "fleet pass-rate summary instead"),
+            ("--missing", "", "top syscalls blocking apps on --os"),
+            ("--limit", "N", "rows for --missing (default: 10)"),
+            ("--plan", "", "cheapest support plan for --os"),
+            ("--apps-requiring", "<syscall>", "apps whose required set contains it"),
+            ("--json", "", "print the raw response JSON"),
+            ("--offline", "", "answer from --db directly (no daemon; same resolution code)"),
+            DB,
+        ] },
+    Command { name: "os-list", operands: Operands::None, run: cmd_os_list, flags: &[],
+        about: "show the curated OS support specs" },
+    Command { name: "ingest", operands: Operands::None, run: cmd_ingest,
+        about: "parse a kerla-style markdown compatibility table (| No | Name | Implementation \
+          Status | ... |) into a kernel support spec with per-flag holes",
+        flags: &[
+            ("--from", "<file.md>", "the table (required)"),
+            ("--os", "<name>", "spec name (default: the file stem)"),
+            ("--version", "V", "spec version string (default: ingested)"),
+            ("--overrides", "<file>", "refine pessimistically-seeded flag holes (`supported \
+              fcntl:F_SETFL` / `hole ...`)"),
+            ("--check", "", "verify the table renders back byte-stably AND, when --os names a \
+              curated OS, that the ingested spec matches the curated one; exit 1 on any mismatch"),
+            ("--json", "", "print the ingested spec as JSON"),
+        ] },
+    Command { name: "importance", operands: Operands::None, run: cmd_importance,
+        about: "rank syscalls by how many apps require them",
+        flags: &[
+            ("--workload", "health|bench|suite", "(default: health)"),
+            ("--apps", "N", "dataset size (default: 116)"),
+        ] },
+    Command { name: "trace", operands: Operands::Argv, run: cmd_trace, flags: &[],
+        about: "trace a real binary with ptrace" },
+];
 
 /// Prints a stage's cache decisions (if it took any) and persists them
 /// as the db's last-sweep counters.
@@ -272,15 +241,8 @@ fn persist_cache_stats(db: &Database, cache: &CacheStats, db_dir: &str) -> Resul
     db.persist_sweep_stats().map_err(|e| e.to_string())
 }
 
-/// The numeric value of flag `name`, or `default` when it is absent.
-fn usize_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
-    flag_value(args, name).map_or(Ok(default), |v| {
-        v.parse().map_err(|_| format!("bad {name}"))
-    })
-}
-
-fn parse_workload(args: &[String], default: Workload) -> Result<Workload, String> {
-    match flag_value(args, "--workload") {
+fn parse_workload(args: &Args, default: Workload) -> Result<Workload, String> {
+    match args.get("--workload") {
         None => Ok(default),
         Some("health") => Ok(Workload::HealthCheck),
         Some("bench") => Ok(Workload::Benchmark),
@@ -289,7 +251,7 @@ fn parse_workload(args: &[String], default: Workload) -> Result<Workload, String
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(_: &Args) -> Result<(), String> {
     println!("{:<28} {:<10} {:>6}  LIBC", "NAME", "KIND", "YEAR");
     for app in registry::dataset() {
         let spec = app.spec();
@@ -308,19 +270,16 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
+fn cmd_analyze(args: &Args) -> Result<(), String> {
     let name = args
+        .operands
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or("analyze: missing application name")?;
     let app = registry::find(name).ok_or_else(|| format!("unknown application `{name}`"))?;
     let workload = parse_workload(args, Workload::Benchmark)?;
-    let replicas = flag_value(args, "--replicas")
-        .map(|v| v.parse::<u32>().map_err(|_| "bad --replicas".to_owned()))
-        .transpose()?
-        .unwrap_or(1);
-    let sub = args.iter().any(|a| a == "--sub-features");
-    let jobs = usize_flag(args, "--jobs", 1)?;
+    let replicas = args.num("--replicas", 1)?;
+    let sub = args.has("--sub-features");
+    let jobs = args.num("--jobs", 1)?;
     let cfg = AnalysisConfig {
         replicas,
         jobs,
@@ -332,7 +291,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .analyze(app.as_ref(), workload)
         .map_err(|e| e.to_string())?;
 
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -374,7 +333,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if let Some(dir) = flag_value(args, "--db") {
+    if let Some(dir) = args.get("--db") {
         let db = Database::open(dir).map_err(|e| e.to_string())?;
         store_report(&db, &report, app.as_ref(), &cfg)?;
         db.flush().map_err(|e| e.to_string())?;
@@ -409,8 +368,14 @@ fn store_report(
 
 const DEFAULT_DB: &str = "target/loupedb";
 
-fn parse_workloads(args: &[String]) -> Result<Vec<Workload>, String> {
-    match flag_value(args, "--workload") {
+/// The database `--db` names (default: [`DEFAULT_DB`]), and its path.
+fn open_db<'a>(args: &Args<'a>) -> Result<(Database, &'a str), String> {
+    let dir = args.get("--db").unwrap_or(DEFAULT_DB);
+    Ok((Database::open(dir).map_err(|e| e.to_string())?, dir))
+}
+
+fn parse_workloads(args: &Args) -> Result<Vec<Workload>, String> {
+    match args.get("--workload") {
         None => Ok(vec![Workload::Benchmark]),
         Some("all") => Ok(Workload::ALL.to_vec()),
         Some(_) => parse_workload(args, Workload::Benchmark).map(|w| vec![w]),
@@ -420,8 +385,8 @@ fn parse_workloads(args: &[String]) -> Result<Vec<Workload>, String> {
 /// The sweep fleet selection: `--apps` list, `--shard I/N`, or the full
 /// dataset. Shared by the dynamic and static passes (boxed app models
 /// are not `Clone`, so each pass materialises its own fleet).
-fn select_apps(args: &[String]) -> Result<Vec<Box<dyn loupe_apps::AppModel>>, String> {
-    match (flag_value(args, "--apps"), flag_value(args, "--shard")) {
+fn select_apps(args: &Args) -> Result<Vec<Box<dyn loupe_apps::AppModel>>, String> {
+    match (args.get("--apps"), args.get("--shard")) {
         (Some(_), Some(_)) => Err("sweep: --apps and --shard are exclusive".into()),
         (Some(list), None) => list
             .split(',')
@@ -441,62 +406,39 @@ fn select_apps(args: &[String]) -> Result<Vec<Box<dyn loupe_apps::AppModel>>, St
     }
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let known = [
-        "--db",
-        "--workload",
-        "--apps",
-        "--shard",
-        "--workers",
-        "--jobs",
-        "--os",
-        "--all-os",
-        "--tier",
-        "--transfer",
-        "--min-agreement",
-        "--transfer-seed",
-        "--force",
-        "--static",
-        "--validate-plans",
-    ];
-    if help_or_reject_unknown("sweep", args, &known)? {
-        return Ok(());
+/// The curated OSes `--os <name>` or `--all-os` select; `None` for
+/// neither.
+fn select_oses(args: &Args) -> Result<Option<Vec<os::OsSpec>>, String> {
+    let cmd = args.command.name;
+    match (args.get("--os"), args.has("--all-os")) {
+        (Some(_), true) => Err(format!("{cmd}: --os and --all-os are exclusive")),
+        (Some(name), false) => os::find(name)
+            .map(|spec| Some(vec![spec]))
+            .ok_or_else(|| format!("{cmd}: unknown OS `{name}` (see `loupe os-list`)")),
+        (None, true) => Ok(Some(os::db())),
+        (None, false) => Ok(None),
     }
-    let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
-    let db = Database::open(db_dir).map_err(|e| e.to_string())?;
+}
+
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let (db, db_dir) = open_db(args)?;
     let workloads = parse_workloads(args)?;
-    let workers = usize_flag(args, "--workers", 0)?;
-    let jobs = usize_flag(args, "--jobs", 1)?;
-    let force = args.iter().any(|a| a == "--force");
-    let transfer = if args.iter().any(|a| a == "--transfer") {
-        let mut t = TransferConfig::default();
-        if let Some(k) = flag_value(args, "--min-agreement") {
-            t.min_agreement = k.parse().map_err(|_| "bad --min-agreement".to_owned())?;
-        }
-        if let Some(n) = flag_value(args, "--transfer-seed") {
-            t.seed = n.parse().map_err(|_| "bad --transfer-seed".to_owned())?;
-        }
-        Some(t)
+    let workers = args.num("--workers", 0)?;
+    let jobs = args.num("--jobs", 1)?;
+    let force = args.has("--force");
+    let transfer = if args.has("--transfer") {
+        let t = TransferConfig::default();
+        Some(TransferConfig {
+            min_agreement: args.num("--min-agreement", t.min_agreement)?,
+            seed: args.num("--transfer-seed", t.seed)?,
+        })
     } else {
         None
     };
 
-    // Fleet × OS matrix selection: one curated OS, or all of them.
-    let all_os = args.iter().any(|a| a == "--all-os");
-    let os_sel = flag_value(args, "--os");
-    if all_os && os_sel.is_some() {
-        return Err("sweep: --os and --all-os are exclusive".into());
-    }
-    let matrix_oses = if all_os {
-        Some(os::db())
-    } else if let Some(name) = os_sel {
-        let spec = os::find(name)
-            .ok_or_else(|| format!("sweep: unknown OS `{name}` (see `loupe os-list`)"))?;
-        Some(vec![spec])
-    } else {
-        None
-    };
-    let tier = flag_value(args, "--tier")
+    let matrix_oses = select_oses(args)?;
+    let tier = args
+        .get("--tier")
         .map(|t| {
             loupe_plan::Tier::from_label(t).ok_or_else(|| format!("sweep: unknown tier `{t}`"))
         })
@@ -596,7 +538,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             summary.failures.len()
         ));
     }
-    if args.iter().any(|a| a == "--static") {
+    if args.has("--static") {
         // Same fleet selection as the dynamic pass (static analysis is
         // workload-independent: one report per app and level).
         let statics = loupe_sweep::sweep_static(&db, select_apps(args)?, workers, force)
@@ -609,7 +551,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             db_dir
         );
     }
-    if args.iter().any(|a| a == "--validate-plans") {
+    if args.has("--validate-plans") {
         let validations =
             loupe_sweep::validate_curated_plans(&db, &workloads).map_err(|e| e.to_string())?;
         let invalid: Vec<&loupe_plan::PlanValidation> =
@@ -641,13 +583,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    if help_or_reject_unknown("compare", args, &["--db", "--workers"])? {
-        return Ok(());
-    }
-    let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
-    let db = Database::open(db_dir).map_err(|e| e.to_string())?;
-    let workers = usize_flag(args, "--workers", 0)?;
+fn cmd_compare(args: &Args) -> Result<(), String> {
+    let (db, db_dir) = open_db(args)?;
+    let workers = args.num("--workers", 0)?;
 
     // Make sure every dynamically measured app has its static
     // counterparts (pure cache hits when `sweep --static` already ran).
@@ -692,35 +630,15 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 /// `loupe statics`: run the precision ladder over the fleet (persisting
 /// into the db), or — with `--explain` — print and re-verify the
 /// witness path behind one attribution.
-fn cmd_statics(args: &[String]) -> Result<(), String> {
-    let known = [
-        "--db",
-        "--app",
-        "--apps",
-        "--shard",
-        "--level",
-        "--workers",
-        "--force",
-        "--explain",
-    ];
-    if help_or_reject_unknown("statics", args, &known)? {
-        return Ok(());
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--explain") {
-        let app = args
-            .get(pos + 1)
-            .ok_or("statics: --explain expects <app> <syscall>")?;
-        let sysno = args
-            .get(pos + 2)
-            .ok_or("statics: --explain expects <app> <syscall>")?;
+fn cmd_statics(args: &Args) -> Result<(), String> {
+    if let Some([app, sysno]) = args.values("--explain") {
         return explain_witness(app, sysno);
     }
 
-    let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
-    let db = Database::open(db_dir).map_err(|e| e.to_string())?;
-    let workers = usize_flag(args, "--workers", 0)?;
-    let force = args.iter().any(|a| a == "--force");
-    let levels: Vec<loupe_static::Level> = match flag_value(args, "--level") {
+    let (db, db_dir) = open_db(args)?;
+    let workers = args.num("--workers", 0)?;
+    let force = args.has("--force");
+    let levels: Vec<loupe_static::Level> = match args.get("--level") {
         None => loupe_static::Level::ALL.to_vec(),
         Some("all") => loupe_static::Level::ALL.to_vec(),
         Some(spec) => spec
@@ -731,7 +649,7 @@ fn cmd_statics(args: &[String]) -> Result<(), String> {
             })
             .collect::<Result<_, _>>()?,
     };
-    let apps = match flag_value(args, "--app") {
+    let apps = match args.get("--app") {
         Some(name) => vec![registry::find(name).ok_or_else(|| format!("unknown app `{name}`"))?],
         None => select_apps(args)?,
     };
@@ -792,13 +710,9 @@ fn explain_witness(app: &str, sysno: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    if help_or_reject_unknown("report", args, &["--db", "--docs", "--check"])? {
-        return Ok(());
-    }
-    let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
-    let db = Database::open(db_dir).map_err(|e| e.to_string())?;
-    let docs_dir = std::path::Path::new(flag_value(args, "--docs").unwrap_or("docs"));
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let (db, db_dir) = open_db(args)?;
+    let docs_dir = std::path::Path::new(args.get("--docs").unwrap_or("docs"));
     if db
         .keys(&store::BASELINES)
         .map_err(|e| e.to_string())?
@@ -808,7 +722,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             "report: database `{db_dir}` is empty; run `loupe sweep` first"
         ));
     }
-    if args.iter().any(|a| a == "--check") {
+    if args.has("--check") {
         let drift = report::check(&db, docs_dir).map_err(|e| e.to_string())?;
         if drift.is_empty() {
             println!("docs in {} match the database", docs_dir.display());
@@ -827,45 +741,14 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gentests(args: &[String]) -> Result<(), String> {
-    let known = [
-        "--db",
-        "--os",
-        "--all-os",
-        "--app",
-        "--apps",
-        "--shard",
-        "--workload",
-        "--workers",
-        "--jobs",
-        "--force",
-        "--check",
-        "--out",
-    ];
-    if help_or_reject_unknown("gentests", args, &known)? {
-        return Ok(());
-    }
-    let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
-    let db = Database::open(db_dir).map_err(|e| e.to_string())?;
-    let all_os = args.iter().any(|a| a == "--all-os");
-    let os_sel = flag_value(args, "--os");
-    if all_os && os_sel.is_some() {
-        return Err("gentests: --os and --all-os are exclusive".into());
-    }
-    let oses = if all_os {
-        os::db()
-    } else if let Some(name) = os_sel {
-        let spec = os::find(name)
-            .ok_or_else(|| format!("gentests: unknown OS `{name}` (see `loupe os-list`)"))?;
-        vec![spec]
-    } else {
-        return Err("gentests: need --os <name> or --all-os".into());
-    };
+fn cmd_gentests(args: &Args) -> Result<(), String> {
+    let (db, db_dir) = open_db(args)?;
+    let oses = select_oses(args)?.ok_or("gentests: need --os <name> or --all-os")?;
     let workloads = parse_workloads(args)?;
-    let workers = usize_flag(args, "--workers", 0)?;
-    let jobs = usize_flag(args, "--jobs", 1)?;
-    let check = args.iter().any(|a| a == "--check");
-    let apps: Vec<_> = match flag_value(args, "--app") {
+    let workers = args.num("--workers", 0)?;
+    let jobs = args.num("--jobs", 1)?;
+    let check = args.has("--check");
+    let apps: Vec<_> = match args.get("--app") {
         Some(name) => {
             vec![registry::find(name).ok_or_else(|| format!("unknown app `{name}`"))?]
         }
@@ -879,7 +762,7 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
             sweep: SweepConfig {
                 workloads: workloads.clone(),
                 workers,
-                force: args.iter().any(|a| a == "--force"),
+                force: args.has("--force"),
                 transfer: None,
                 analysis: loupe_core::AnalysisConfig {
                     jobs,
@@ -920,7 +803,7 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
     for f in &summary.base.failures {
         eprintln!("  failed: {} ({}): {}", f.app, f.workload, f.error);
     }
-    if let Some(out_dir) = flag_value(args, "--out") {
+    if let Some(out_dir) = args.get("--out") {
         let mut exported = 0;
         for suite in db.load_all(&store::SUITES).map_err(|e| e.to_string())? {
             let dir = std::path::Path::new(out_dir)
@@ -969,100 +852,82 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_cache(args: &[String]) -> Result<(), String> {
-    let known: &[&str] = match args.first().map(String::as_str) {
-        Some("invalidate") => &["--db", "--os", "--app", "--all"],
-        _ => &["--db"],
-    };
-    if help_or_reject_unknown("cache", args, known)? {
-        return Ok(());
+fn cmd_cache_stats(args: &Args) -> Result<(), String> {
+    let (db, db_dir) = open_db(args)?;
+    println!("cache manifest for {db_dir}:");
+    println!(
+        "{:<12} {:>8}  {:>15}",
+        "NAMESPACE", "ENTRIES", "WITH PROVENANCE"
+    );
+    for (namespace, total, with_inputs) in db.cache_entry_counts() {
+        println!("{namespace:<12} {total:>8}  {with_inputs:>15}");
     }
-    let sub = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("cache: need a subcommand: stats | invalidate")?;
-    let rest = &args[1..];
-    let db_dir = flag_value(rest, "--db").unwrap_or(DEFAULT_DB);
-    let db = Database::open(db_dir).map_err(|e| e.to_string())?;
-    match sub.as_str() {
-        "stats" => {
-            println!("cache manifest for {db_dir}:");
+    match db.last_sweep_stats() {
+        Some(stats) if !stats.is_empty() => {
+            println!("\nlast sweep:");
             println!(
-                "{:<12} {:>8}  {:>15}",
-                "NAMESPACE", "ENTRIES", "WITH PROVENANCE"
+                "{:<12} {:>6} {:>8} {:>6}",
+                "NAMESPACE", "HITS", "MISSES", "STALE"
             );
-            for (namespace, total, with_inputs) in db.cache_entry_counts() {
-                println!("{namespace:<12} {total:>8}  {with_inputs:>15}");
-            }
-            match db.last_sweep_stats() {
-                Some(stats) if !stats.is_empty() => {
-                    println!("\nlast sweep:");
+            for (namespace, c) in &stats.namespaces {
+                if c.total() > 0 {
                     println!(
-                        "{:<12} {:>6} {:>8} {:>6}",
-                        "NAMESPACE", "HITS", "MISSES", "STALE"
-                    );
-                    for (namespace, c) in &stats.namespaces {
-                        if c.total() > 0 {
-                            println!(
-                                "{namespace:<12} {:>6} {:>8} {:>6}",
-                                c.hits, c.misses, c.stale
-                            );
-                        }
-                    }
-                    let t = stats.total();
-                    println!(
-                        "{:<12} {:>6} {:>8} {:>6}",
-                        "total", t.hits, t.misses, t.stale
+                        "{namespace:<12} {:>6} {:>8} {:>6}",
+                        c.hits, c.misses, c.stale
                     );
                 }
-                _ => println!("\nno sweep has recorded cache counters yet"),
             }
-            Ok(())
-        }
-        "invalidate" => {
-            let os_sel = flag_value(rest, "--os");
-            let app_sel = flag_value(rest, "--app");
-            let all = rest.iter().any(|a| a == "--all");
-            if all && (os_sel.is_some() || app_sel.is_some()) {
-                return Err("cache invalidate: --all excludes --os/--app".into());
-            }
-            if !all && os_sel.is_none() && app_sel.is_none() {
-                return Err("cache invalidate: pass --os <name>, --app <name>, or --all".into());
-            }
-            if let Some(name) = os_sel {
-                if os::find(name).is_none() {
-                    return Err(format!(
-                        "cache invalidate: unknown OS `{name}` (see `loupe os-list`)"
-                    ));
-                }
-            }
-            if let Some(name) = app_sel {
-                if registry::find(name).is_none() {
-                    return Err(format!("cache invalidate: unknown app `{name}`"));
-                }
-            }
-            let dropped = db.invalidate_matching(os_sel, app_sel);
-            db.flush().map_err(|e| e.to_string())?;
-            let total: usize = dropped.iter().map(|(_, n)| n).sum();
-            for (namespace, n) in &dropped {
-                if *n > 0 {
-                    println!("  {namespace}: {n} record(s) invalidated");
-                }
-            }
+            let t = stats.total();
             println!(
-                "invalidated {total} provenance record(s) in {db_dir}; \
-                 the next sweep re-measures the affected cells"
+                "{:<12} {:>6} {:>8} {:>6}",
+                "total", t.hits, t.misses, t.stale
             );
-            Ok(())
         }
-        other => Err(format!(
-            "cache: unknown subcommand `{other}` (stats | invalidate)"
-        )),
+        _ => println!("\nno sweep has recorded cache counters yet"),
     }
+    Ok(())
 }
 
-fn cmd_plan(args: &[String]) -> Result<(), String> {
-    let os_arg = flag_value(args, "--os").ok_or("plan: missing --os")?;
+fn cmd_cache_invalidate(args: &Args) -> Result<(), String> {
+    let os_sel = args.get("--os");
+    let app_sel = args.get("--app");
+    let all = args.has("--all");
+    if all && (os_sel.is_some() || app_sel.is_some()) {
+        return Err("cache invalidate: --all excludes --os/--app".into());
+    }
+    if !all && os_sel.is_none() && app_sel.is_none() {
+        return Err("cache invalidate: pass --os <name>, --app <name>, or --all".into());
+    }
+    if let Some(name) = os_sel {
+        if os::find(name).is_none() {
+            return Err(format!(
+                "cache invalidate: unknown OS `{name}` (see `loupe os-list`)"
+            ));
+        }
+    }
+    if let Some(name) = app_sel {
+        if registry::find(name).is_none() {
+            return Err(format!("cache invalidate: unknown app `{name}`"));
+        }
+    }
+    let (db, db_dir) = open_db(args)?;
+    let dropped = db.invalidate_matching(os_sel, app_sel);
+    db.flush().map_err(|e| e.to_string())?;
+    let total: usize = dropped.iter().map(|(_, n)| n).sum();
+    for (namespace, n) in &dropped {
+        if *n > 0 {
+            println!("  {namespace}: {n} record(s) invalidated");
+        }
+    }
+    println!(
+        "invalidated {total} provenance record(s) in {db_dir}; \
+         the next sweep re-measures the affected cells"
+    );
+    Ok(())
+}
+
+fn cmd_plan(args: &Args) -> Result<(), String> {
+    let os_arg = args.get("--os").ok_or("plan: missing --os")?;
     let spec = if os_arg.ends_with(".csv") {
         let text = std::fs::read_to_string(os_arg).map_err(|e| e.to_string())?;
         os::OsSpec::from_csv(os_arg, "file", &text).map_err(|e| e.to_string())?
@@ -1071,7 +936,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     };
     let workload = parse_workload(args, Workload::Benchmark)?;
 
-    let apps: Vec<_> = match flag_value(args, "--apps") {
+    let apps: Vec<_> = match args.get("--apps") {
         Some(list) => list
             .split(',')
             .map(|n| registry::find(n.trim()).ok_or_else(|| format!("unknown app `{n}`")))
@@ -1080,7 +945,8 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     };
 
     // Reuse stored measurements when a database is given.
-    let db = flag_value(args, "--db")
+    let db = args
+        .get("--db")
         .map(Database::open)
         .transpose()
         .map_err(|e| e.to_string())?;
@@ -1114,7 +980,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     let plan = SupportPlan::generate(&spec, &reqs);
     print!("{}", plan.to_table());
 
-    if args.iter().any(|a| a == "--validate") {
+    if args.has("--validate") {
         let validation = loupe_plan::PlanValidator::new()
             .validate(&spec, &plan, &reqs, workload, registry::find)
             .map_err(|e| e.to_string())?;
@@ -1145,23 +1011,16 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7071";
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let known = ["--db", "--addr", "--threads", "--watch-ms", "--eager"];
-    if help_or_reject_unknown("serve", args, &known)? {
-        return Ok(());
-    }
-    let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
-    let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_SERVE_ADDR);
-    let threads = usize_flag(args, "--threads", 1024)?;
-    let watch_ms = flag_value(args, "--watch-ms")
-        .map(|v| v.parse::<u64>().map_err(|_| "bad --watch-ms".to_owned()))
-        .transpose()?
-        .unwrap_or(200);
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let db_dir = args.get("--db").unwrap_or(DEFAULT_DB);
+    let addr = args.get("--addr").unwrap_or(DEFAULT_SERVE_ADDR);
+    let threads = args.num("--threads", 1024)?;
+    let watch_ms = args.num::<u64>("--watch-ms", 200)?;
     let cfg = loupe_serve::ServeConfig {
         addr: addr.to_owned(),
         threads,
         watch_interval: std::time::Duration::from_millis(watch_ms),
-        eager: args.iter().any(|a| a == "--eager"),
+        eager: args.has("--eager"),
     };
     let server = loupe_serve::Server::start(db_dir, cfg).map_err(|e| e.to_string())?;
     // Scripted clients parse this line for the resolved port.
@@ -1175,24 +1034,22 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// Builds the protocol request the `query` flags describe.
-fn build_query(args: &[String]) -> Result<loupe_serve::Request, String> {
+fn build_query(args: &Args) -> Result<loupe_serve::Request, String> {
     let mut request = loupe_serve::Request {
-        os: flag_value(args, "--os").map(str::to_owned),
-        app: flag_value(args, "--app").map(str::to_owned),
-        workload: flag_value(args, "--workload").map(str::to_owned),
-        tier: flag_value(args, "--tier").map(str::to_owned),
-        limit: flag_value(args, "--limit")
-            .map(|v| v.parse::<u64>().map_err(|_| "bad --limit".to_owned()))
-            .transpose()?,
+        os: args.get("--os").map(str::to_owned),
+        app: args.get("--app").map(str::to_owned),
+        workload: args.get("--workload").map(str::to_owned),
+        tier: args.get("--tier").map(str::to_owned),
+        limit: args.opt_num("--limit")?,
         ..Default::default()
     };
-    request.cmd = if args.iter().any(|a| a == "--summary") {
+    request.cmd = if args.has("--summary") {
         "summary"
-    } else if args.iter().any(|a| a == "--missing") {
+    } else if args.has("--missing") {
         "missing"
-    } else if args.iter().any(|a| a == "--plan") {
+    } else if args.has("--plan") {
         "plan"
-    } else if let Some(syscall) = flag_value(args, "--apps-requiring") {
+    } else if let Some(syscall) = args.get("--apps-requiring") {
         request.syscall = Some(syscall.to_owned());
         "apps"
     } else if request.os.is_some() || request.app.is_some() {
@@ -1294,17 +1151,16 @@ fn print_query_response(request: &loupe_serve::Request, response: &loupe_serve::
     }
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+fn cmd_query(args: &Args) -> Result<(), String> {
     let request = build_query(args)?;
-    let response = if args.iter().any(|a| a == "--offline") {
+    let response = if args.has("--offline") {
         // No daemon: load the database and resolve against a
         // freshly built index — the same code the daemon runs.
-        let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
-        let db = Database::open(db_dir).map_err(|e| e.to_string())?;
+        let (db, _) = open_db(args)?;
         let index = loupe_serve::ServeIndex::build(db, 0).map_err(|e| e.to_string())?;
         index.answer(&request)
     } else {
-        let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_SERVE_ADDR);
+        let addr = args.get("--addr").unwrap_or(DEFAULT_SERVE_ADDR);
         let mut client = loupe_serve::Client::connect(addr).map_err(|e| {
             format!(
                 "query: cannot reach a daemon at {addr}: {e} \
@@ -1316,7 +1172,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         client.request(&request).map_err(|e| e.to_string())?
     };
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?
@@ -1328,13 +1184,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             response.error.as_deref().unwrap_or("request failed")
         ));
     }
-    if !args.iter().any(|a| a == "--json") {
+    if !args.has("--json") {
         print_query_response(&request, &response);
     }
     Ok(())
 }
 
-fn cmd_os_list() -> Result<(), String> {
+fn cmd_os_list(_: &Args) -> Result<(), String> {
     println!("{:<14} {:<14} {:>9}", "OS", "VERSION", "SYSCALLS");
     for spec in os::db() {
         println!(
@@ -1347,10 +1203,13 @@ fn cmd_os_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    let path = flag_value(args, "--from").ok_or("ingest: missing --from <file.md>")?;
+fn cmd_ingest(args: &Args) -> Result<(), String> {
+    let path = args
+        .get("--from")
+        .ok_or("ingest: missing --from <file.md>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("ingest: {path}: {e}"))?;
-    let name = flag_value(args, "--os")
+    let name = args
+        .get("--os")
         .map(str::to_owned)
         .or_else(|| {
             std::path::Path::new(path)
@@ -1358,8 +1217,8 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
                 .map(|s| s.to_string_lossy().into_owned())
         })
         .ok_or("ingest: cannot derive a spec name; pass --os <name>")?;
-    let version = flag_value(args, "--version").unwrap_or("ingested");
-    let overrides = match flag_value(args, "--overrides") {
+    let version = args.get("--version").unwrap_or("ingested");
+    let overrides = match args.get("--overrides") {
         Some(p) => {
             let text = std::fs::read_to_string(p).map_err(|e| format!("ingest: {p}: {e}"))?;
             loupe_plan::ingest::parse_overrides(&text).map_err(|e| format!("ingest: {p}: {e}"))?
@@ -1372,7 +1231,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
         .to_spec(&name, version, &overrides)
         .map_err(|e| format!("ingest: {path}: {e}"))?;
 
-    if args.iter().any(|a| a == "--check") {
+    if args.has("--check") {
         if table.render() != text {
             return Err(format!(
                 "ingest: {path} is not in canonical form (re-render changes bytes)"
@@ -1397,7 +1256,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         let json = serde_json::to_string_pretty(&spec).map_err(|e| e.to_string())?;
         println!("{json}");
         return Ok(());
@@ -1417,9 +1276,9 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_importance(args: &[String]) -> Result<(), String> {
+fn cmd_importance(args: &Args) -> Result<(), String> {
     let workload = parse_workload(args, Workload::HealthCheck)?;
-    let n = usize_flag(args, "--apps", 116)?;
+    let n = args.num("--apps", 116)?;
     let engine = Engine::new(AnalysisConfig::fast());
     let mut required_sets = Vec::new();
     for app in registry::dataset().into_iter().take(n) {
@@ -1439,17 +1298,11 @@ fn cmd_importance(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let cmd_start = args
-        .iter()
-        .position(|a| a == "--")
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let argv: Vec<&str> = args[cmd_start..].iter().map(String::as_str).collect();
-    if argv.is_empty() {
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    if args.operands.is_empty() {
         return Err("trace: missing command (use `loupe trace -- cmd args...`)".into());
     }
-    let result = loupe_trace::trace_command(&argv, &loupe_trace::TracePolicy::allow_all())
+    let result = loupe_trace::trace_command(&args.operands, &loupe_trace::TracePolicy::allow_all())
         .map_err(|e| e.to_string())?;
     println!(
         "exit: {:?}; {} distinct syscalls:",

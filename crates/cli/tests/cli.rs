@@ -465,29 +465,54 @@ fn misspelt_flags_exit_nonzero_before_touching_db_or_docs() {
     let mut text = std::fs::read_to_string(&page).unwrap();
     text.push_str("hand edit\n");
     std::fs::write(&page, text).unwrap();
-    let (docs_before, db_before) = (tree(&docs), tree(&db));
+    // Run from `dir`, so a stray db or docs tree would land under it too.
+    let before = tree(&dir);
 
-    let misspelt: [&[&str]; 3] = [
-        &["report", "--chek", "--docs"],
-        &["compare", "--wrokers", "2", "--docs"],
-        &["serve", "--wach-ms", "0", "--docs"],
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let table = repo.join("crates/plan/data/kerla_compatibility.md");
+    let overrides = repo.join("crates/plan/data/kerla_overrides.txt");
+    let (table, overrides) = (table.to_str().unwrap(), overrides.to_str().unwrap());
+    let (db, docs) = (db.to_str().unwrap(), docs.to_str().unwrap());
+    // Each misspelling would otherwise run a different command: write
+    // the docs, skip the plan replay or the table check, run a fleet.
+    let misspelt: [(&[&str], &str); 8] = [
+        (&["report", "--chek", "--docs", docs, "--db", db], "--chek"),
+        (&["compare", "--wrokers", "2", "--db", db], "--wrokers"),
+        (&["serve", "--wach-ms", "0", "--db", db], "--wach-ms"),
+        (
+            &["plan", "--os", "kerla", "--valdate", "--db", db],
+            "--valdate",
+        ),
+        (
+            &[
+                "ingest",
+                "--from",
+                table,
+                "--os",
+                "kerla",
+                "--overrides",
+                overrides,
+                "--chek",
+            ],
+            "--chek",
+        ),
+        (&["analyze", "nginx", "--jsno", "--db", db], "--jsno"),
+        (&["query", "--offline", "--sumary", "--db", db], "--sumary"),
+        (&["importance", "--hlep"], "--hlep"),
     ];
-    for args in misspelt {
+    for (args, word) in misspelt {
         let out = loupe()
             .args(args)
-            .arg(&docs)
-            .arg("--db")
-            .arg(&db)
+            .current_dir(&dir)
             .output()
             .expect("spawn loupe");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} must fail");
         assert!(
-            stderr.contains(&format!("unknown flag `{}`", args[1])),
+            stderr.contains(&format!("unknown flag `{word}`")),
             "{stderr}"
         );
-        assert_eq!(tree(&docs), docs_before, "{args:?} touched the docs");
-        assert_eq!(tree(&db), db_before, "{args:?} touched the db");
+        assert_eq!(tree(&dir), before, "{args:?} touched the db or the docs");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -542,39 +567,64 @@ fn sweeping_commands_reject_unknown_flags_and_answer_help() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let before = tree(&db);
-    // `--chek` would turn the suite drift check into a regeneration.
-    let misspelt: [&[&str]; 5] = [
-        &["gentests", "--all-os", "--chek"],
-        &["sweep", "--wrokers", "2"],
-        &["statics", "--levle", "l0"],
-        &["cache", "stats", "--all"],
-        &["cache", "invalidate", "--ap", "redis"],
+    let before = tree(&dir);
+    // `--chek` would turn the suite drift check into a regeneration, and
+    // `--db --all-os` would sweep into a db named `--all-os`.
+    let rejected: [(&[&str], &str); 7] = [
+        (&["gentests", "--all-os", "--chek"], "unknown flag `--chek`"),
+        (&["sweep", "--wrokers", "2"], "unknown flag `--wrokers`"),
+        (&["statics", "--levle", "l0"], "unknown flag `--levle`"),
+        (&["cache", "stats", "--all"], "unknown flag `--all`"),
+        (
+            &["cache", "invalidate", "--ap", "redis"],
+            "unknown flag `--ap`",
+        ),
+        (
+            &["sweep", "--db", "--all-os"],
+            "--db expects DIR, not `--all-os`",
+        ),
+        (
+            &["sweep", "--workers", "2", "--workers", "3"],
+            "--workers given twice",
+        ),
     ];
-    for args in misspelt {
+    for (args, message) in rejected {
         let out = loupe()
             .args(args)
             .arg("--db")
             .arg(&db)
+            .current_dir(&dir)
             .output()
             .expect("spawn loupe");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} must fail");
-        assert!(stderr.contains("unknown flag `--"), "{args:?}: {stderr}");
-        assert_eq!(tree(&db), before, "{args:?} touched the db");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert_eq!(tree(&dir), before, "{args:?} touched the db");
     }
 
-    // Help is answered before the db is opened, so none is created.
+    // Help is answered before anything runs, so no db is created.
     let fresh = dir.join("fresh");
     for (cmd, flags) in [
+        ("list", &["list"][..]),
+        ("analyze", &["<app>", "--sub-features", "--replicas"][..]),
         ("sweep", &["--all-os", "--transfer", "--jobs"][..]),
-        ("gentests", &["--check", "--out", "--jobs"][..]),
+        ("compare", &["--workers"][..]),
         ("statics", &["--level", "--explain"][..]),
+        ("report", &["--docs", "--check"][..]),
+        ("gentests", &["--check", "--out", "--jobs"][..]),
         ("cache", &["cache stats", "cache invalidate", "--all"][..]),
+        ("plan", &["--validate", "--apps"][..]),
+        ("serve", &["--watch-ms", "--eager"][..]),
+        ("query", &["--offline", "--apps-requiring"][..]),
+        ("os-list", &["os-list"][..]),
+        ("ingest", &["--from", "--overrides"][..]),
+        ("importance", &["--workload", "--apps"][..]),
+        ("trace", &["-- <cmd>"][..]),
     ] {
         let out = loupe()
             .args([cmd, "--help", "--db"])
             .arg(&fresh)
+            .current_dir(&dir)
             .output()
             .expect("spawn loupe");
         let stdout = String::from_utf8_lossy(&out.stdout);
@@ -583,6 +633,7 @@ fn sweeping_commands_reject_unknown_flags_and_answer_help() {
             assert!(stdout.contains(flag), "{flag} missing from: {stdout}");
         }
         assert!(!fresh.exists(), "{cmd} --help created the db");
+        assert_eq!(tree(&dir), before, "{cmd} --help wrote a file");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

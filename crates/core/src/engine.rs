@@ -297,16 +297,15 @@ impl Engine {
     ) -> Vec<RunResult> {
         let r = self.cfg.replicas.max(1) as usize;
         if self.cfg.parallel && r > 1 {
-            let mut out: Vec<Option<RunResult>> = (0..r).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                for slot in out.iter_mut() {
-                    scope.spawn(move |_| {
-                        *slot = Some(self.run_once(app, workload, policy));
-                    });
-                }
+            std::thread::scope(|scope| {
+                let replicas: Vec<_> = (0..r)
+                    .map(|_| scope.spawn(|| self.run_once(app, workload, policy)))
+                    .collect();
+                replicas
+                    .into_iter()
+                    .map(|h| h.join().expect("replica thread panicked"))
+                    .collect()
             })
-            .expect("replica thread panicked");
-            out.into_iter().map(|r| r.expect("replica ran")).collect()
         } else {
             (0..r)
                 .map(|_| self.run_once(app, workload, policy))

@@ -101,7 +101,7 @@ pub struct BaselineStats {
     /// breaks on a restricted kernel fails the run). Persisted so
     /// downstream consumers (the OS matrix, conformance generation) can
     /// judge restricted runs exactly like the measuring engine did.
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
+    #[serde(default)]
     pub features: BTreeMap<String, bool>,
 }
 

@@ -89,7 +89,7 @@ pub struct ConformanceCase {
     pub calls: u64,
     /// A notable measured impact of the tolerated shim, when stored
     /// (e.g. a fake that passes tests but moves throughput).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub impact: Option<String>,
     /// When set, the case probes one *sub-feature* of `sysno` instead of
     /// the syscall as a whole (§5.4 partial fidelity): the probe places

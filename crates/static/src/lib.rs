@@ -68,9 +68,8 @@ pub struct StaticReport {
     pub witnesses: Vec<Witness>,
 }
 
-// By hand: the vendored derive honours `#[serde(default)]` only, and
-// would serialise an empty `witnesses` (`skip_serializing_if` is
-// accepted but ignored).
+// By hand: the vendored derive takes no field attribute but
+// `#[serde(default)]`, so it cannot leave an empty `witnesses` out.
 impl Serialize for StaticReport {
     fn to_value(&self) -> Value {
         let field = |name: &str, value: Value| (Value::Str(name.to_owned()), value);
