@@ -59,11 +59,6 @@ impl<'k> Env<'k> {
             .syscall(&Invocation::new(sysno, args).with_data(data.into()))
     }
 
-    /// Issues a fully built invocation.
-    pub fn sys_inv(&mut self, inv: &Invocation) -> SysOutcome {
-        self.kernel.syscall(inv)
-    }
-
     /// Issues a system call on behalf of a *helper binary* spawned by the
     /// workload (e.g. the `git` invocations of a test suite, §3.3). The
     /// Loupe whitelist excludes these from the application's trace.

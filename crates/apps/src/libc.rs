@@ -612,14 +612,6 @@ impl LibcRuntime {
         }
     }
 
-    /// `free(3)` for an mmap-backed allocation of `size` bytes at `addr`.
-    /// (Heap frees via brk are modelled as no-ops, as in real allocators
-    /// that keep the heap for reuse.)
-    pub fn free_mapped(&mut self, env: &mut Env<'_>, addr: u64, size: u64) {
-        let chunk = size.div_ceil(self.fallback_chunk) * self.fallback_chunk;
-        let _ = env.sys(Sysno::munmap, [addr, chunk, 0, 0, 0, 0]);
-    }
-
     /// `printf(3)`-style output to stdout.
     pub fn printf(&mut self, env: &mut Env<'_>, text: &str) {
         if !self.tty_probed {

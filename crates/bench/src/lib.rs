@@ -2,7 +2,7 @@
 //! of the paper) and the criterion benches.
 
 use loupe_apps::{AppModel, Workload};
-use loupe_core::{AnalysisConfig, AppReport, Engine};
+use loupe_core::{pool, AnalysisConfig, AppReport, Engine};
 use loupe_plan::AppRequirement;
 
 /// The engine configuration experiments use: single replica (the
@@ -11,45 +11,29 @@ pub fn experiment_config() -> AnalysisConfig {
     AnalysisConfig::fast()
 }
 
-/// Analyses `apps` under `workload` in parallel (one worker per CPU,
-/// capped at 16).
+/// Analyses `apps` under `workload` on the worker pool (one worker per
+/// CPU, capped at 16).
 pub fn analyze_apps(apps: Vec<Box<dyn AppModel>>, workload: Workload) -> Vec<AppReport> {
     analyze_apps_with(apps, workload, experiment_config())
 }
 
-/// Analyses `apps` with an explicit configuration.
+/// Analyses `apps` with an explicit configuration, sorted by app name.
+/// An app that fails its baseline is skipped with a warning.
 pub fn analyze_apps_with(
     apps: Vec<Box<dyn AppModel>>,
     workload: Workload,
     cfg: AnalysisConfig,
 ) -> Vec<AppReport> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16);
-    let queue = std::sync::Mutex::new(apps.into_iter());
-    let mut out: Vec<AppReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let engine = Engine::new(cfg.clone());
-                    let mut reports = Vec::new();
-                    loop {
-                        let next = queue.lock().expect("queue poisoned").next();
-                        let Some(app) = next else { break reports };
-                        match engine.analyze(app.as_ref(), workload) {
-                            Ok(report) => reports.push(report),
-                            Err(e) => eprintln!("warning: skipping {}: {e}", app.name()),
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("analysis worker panicked"))
-            .collect()
-    });
+    let engine = Engine::new(cfg);
+    let outcomes = pool::run_jobs(0, &apps, |app| engine.analyze(app.as_ref(), workload));
+    let mut out = Vec::new();
+    for (app, outcome) in apps.iter().zip(outcomes) {
+        match outcome {
+            Ok(Ok(report)) => out.push(report),
+            Ok(Err(e)) => eprintln!("warning: skipping {}: {e}", app.name()),
+            Err(panic) => panic!("analysis of {} panicked: {panic}", app.name()),
+        }
+    }
     out.sort_by(|a, b| a.app.cmp(&b.app));
     out
 }
@@ -73,16 +57,6 @@ pub fn historical_order(mut reqs: Vec<AppRequirement>) -> Vec<AppRequirement> {
     }
     reqs.sort_by_key(|r| fnv(&r.app));
     reqs
-}
-
-/// Renders a simple aligned two-column table.
-pub fn print_kv_table(title: &str, rows: &[(String, String)]) {
-    println!("== {title} ==");
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    for (k, v) in rows {
-        println!("{k:<w$}  {v}");
-    }
-    println!();
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! a table of its flags with the metavariables of their values and
 //! their help. [`parse`] reads a command line against that table only:
 //! an unknown flag, a flag without its value and a flag given twice are
-//! errors naming the word, returned before the command runs. `--help`
+//! errors naming the word, returned before the command runs, and so is
+//! a flag given without the flag it is read beside. `--help`
 //! and `loupe help` render the same tables, so the help cannot drift
 //! from what is parsed.
 
@@ -33,6 +34,9 @@ pub struct Command {
     pub operands: Operands,
     pub about: &'static str,
     pub flags: &'static [Flag],
+    /// Flags read only beside another: each flag here is an error
+    /// unless one of the flags listed with it is given too.
+    pub requires: &'static [(&'static str, &'static [&'static str])],
     pub run: fn(&Args) -> Result<(), String>,
 }
 
@@ -161,6 +165,11 @@ pub fn parse<'a>(commands: &'static [Command], argv: &'a [String]) -> Result<Par
         args.flags.push((flag, values));
         i += arity;
     }
+    for &(flag, needs) in command.requires {
+        if args.has(flag) && !needs.iter().any(|need| args.has(need)) {
+            return Err(format!("{cmd}: {flag} needs {}", needs.join(" or ")));
+        }
+    }
     Ok(Parsed::Run(args))
 }
 
@@ -217,6 +226,13 @@ mod tests {
 
     /// Misspelt flags that CI passes on purpose, requiring a rejection.
     const MISSPELT: [&str; 2] = ["--chek", "--valdate"];
+
+    /// The errors CI requires, in an `if` around the command, of a flag
+    /// given without the flag it is read beside.
+    const ORPHANED: [&str; 2] = [
+        "sweep: --min-agreement needs --transfer",
+        "query: --db needs --offline",
+    ];
 
     /// The words of a shell command up to its first operator,
     /// redirection or comment; a `<name>` placeholder is one word.
@@ -337,6 +353,21 @@ mod tests {
     }
 
     #[test]
+    fn required_flags_are_flags_of_their_command() {
+        for command in crate::COMMANDS {
+            for (flag, needs) in command.requires {
+                for name in std::iter::once(flag).chain(needs.iter()) {
+                    assert!(
+                        command.flags.iter().any(|f| f.0 == *name),
+                        "{}: {name} is not one of its flags",
+                        command.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn every_command_line_of_ci_docs_and_perfbench_parses() {
         for (source, words) in command_lines() {
             // Blank, or a placeholder for the subcommand: `loupe "$cmd"
@@ -348,6 +379,7 @@ mod tests {
             match (parse(crate::COMMANDS, &words), misspelt) {
                 (Ok(_), None) => {}
                 (Err(e), Some(m)) if e.contains(&format!("unknown flag `{m}`")) => {}
+                (Err(e), None) if ORPHANED.contains(&e.as_str()) && source.contains(" if ") => {}
                 (Ok(_), Some(m)) => panic!("{source}: accepted the misspelt {m}"),
                 (Err(e), _) => panic!("{source}: {e}"),
             }

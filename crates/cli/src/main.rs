@@ -74,7 +74,7 @@ const WORKLOADS: Flag = ("--workload", "health|bench|suite|all", "(default: benc
 /// Every subcommand, in the order `loupe help` lists them.
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
-    Command { name: "list", operands: Operands::None, run: cmd_list, flags: &[],
+    Command { name: "list", operands: Operands::None, run: cmd_list, flags: &[], requires: &[],
         about: "list applications in the registry" },
     Command { name: "analyze", operands: Operands::One("<app>"), run: cmd_analyze,
         about: "measure an application's OS-feature needs",
@@ -85,7 +85,7 @@ const COMMANDS: &[Command] = &[
             ("--sub-features", "", "classify vectored-syscall features too"),
             ("--json", "", "print the full report as JSON"),
             ("--db", "DIR", "store the report in a database"),
-        ] },
+        ], requires: &[] },
     Command { name: "sweep", operands: Operands::None, run: cmd_sweep,
         about: "analyze the whole fleet and persist to a db",
         flags: &[
@@ -104,12 +104,18 @@ const COMMANDS: &[Command] = &[
               generated STATIC_VS_DYNAMIC.md)"),
             ("--validate-plans", "", "replay every curated OS's support plan on a restricted \
               kernel; persist verdicts in the db"),
+        ],
+        requires: &[
+            ("--tier", &["--os", "--all-os"]),
+            ("--min-agreement", &["--transfer"]),
+            ("--transfer-seed", &["--transfer"]),
         ] },
     Command { name: "compare", operands: Operands::None, run: cmd_compare,
         about: "static-vs-dynamic comparison (Figs. 4-7): per-app overestimation factors at every \
           precision level, importance rank shifts and per-OS plan-size deltas; exits 1 if the \
           containment chain dynamic ⊆ L3 ⊆ L2 ⊆ L1 ⊆ L0 is violated anywhere",
-        flags: &[DB, ("--workers", "N", "static-analysis worker threads (default: auto)")] },
+        flags: &[DB, ("--workers", "N", "static-analysis worker threads (default: auto)")],
+        requires: &[] },
     Command { name: "statics", operands: Operands::None, run: cmd_statics,
         about: "run the static precision ladder over the fleet: each app is lowered to a \
           whole-program call graph and analysed by reachability at L0 (naive binary), L1 \
@@ -125,14 +131,14 @@ const COMMANDS: &[Command] = &[
             ("--explain", "<app> <syscall>", "print the witness call path behind an attribution at \
               every level, re-verified against the graph; exits 1 if no level attributes the \
               syscall"),
-        ] },
+        ], requires: &[] },
     Command { name: "report", operands: Operands::None, run: cmd_report,
         about: "render a sweep db as Markdown documentation",
         flags: &[
             DB,
             ("--docs", "DIR", "output directory (default: docs)"),
             ("--check", "", "verify the docs match the db; exit 1 on drift"),
-        ] },
+        ], requires: &[] },
     Command { name: "gentests", operands: Operands::None, run: cmd_gentests,
         about: "compile stored measurement corpora into executable per-app conformance suites, \
           self-validated against the matrix verdicts; exits 1 on any disagreement",
@@ -147,11 +153,11 @@ const COMMANDS: &[Command] = &[
               stale/missing suites"),
             ("--out", "DIR", "also export the generated suite JSON files under \
               DIR/<os>/<workload>/<app>.json"),
-        ] },
+        ], requires: &[] },
     Command { name: "cache stats", operands: Operands::None, run: cmd_cache_stats,
         about: "show the incremental-cache manifest: entries and provenance coverage per \
           namespace, plus the hit/miss/stale counters of the last sweep",
-        flags: &[DB] },
+        flags: &[DB], requires: &[] },
     Command { name: "cache invalidate", operands: Operands::None, run: cmd_cache_invalidate,
         about: "drop provenance records so the next sweep re-measures the matching cells \
           (artifacts stay; only the is-this-current? answer is forgotten)",
@@ -160,7 +166,7 @@ const COMMANDS: &[Command] = &[
             ("--os", "<name>", "cells measured against one curated OS"),
             ("--app", "<name>", "cells derived from one application"),
             ("--all", "", "every record in every namespace"),
-        ] },
+        ], requires: &[] },
     Command { name: "plan", operands: Operands::None, run: cmd_plan,
         about: "incremental support plan for an OS",
         flags: &[
@@ -171,7 +177,7 @@ const COMMANDS: &[Command] = &[
             ("--validate", "", "replay the plan step-by-step on a restricted kernel (fails unless \
               every step unlocks its app at step k and not at k-1); with --db the verdict is \
               persisted for `loupe report`"),
-        ] },
+        ], requires: &[] },
     Command { name: "serve", operands: Operands::None, run: cmd_serve,
         about: "long-running query daemon: loads the db once, compiles it into an in-memory \
           verdict index and answers length-prefixed JSON queries over TCP (protocol: \
@@ -184,7 +190,7 @@ const COMMANDS: &[Command] = &[
               disables the watcher)"),
             ("--eager", "", "build the plan/inverted-syscall tables at startup instead of on \
               first query"),
-        ] },
+        ], requires: &[] },
     Command { name: "query", operands: Operands::None, run: cmd_query,
         about: "ask a running daemon one question",
         flags: &[
@@ -201,8 +207,9 @@ const COMMANDS: &[Command] = &[
             ("--json", "", "print the raw response JSON"),
             ("--offline", "", "answer from --db directly (no daemon; same resolution code)"),
             DB,
-        ] },
-    Command { name: "os-list", operands: Operands::None, run: cmd_os_list, flags: &[],
+        ],
+        requires: &[("--limit", &["--missing"]), ("--db", &["--offline"])] },
+    Command { name: "os-list", operands: Operands::None, run: cmd_os_list, flags: &[], requires: &[],
         about: "show the curated OS support specs" },
     Command { name: "ingest", operands: Operands::None, run: cmd_ingest,
         about: "parse a kerla-style markdown compatibility table (| No | Name | Implementation \
@@ -216,14 +223,14 @@ const COMMANDS: &[Command] = &[
             ("--check", "", "verify the table renders back byte-stably AND, when --os names a \
               curated OS, that the ingested spec matches the curated one; exit 1 on any mismatch"),
             ("--json", "", "print the ingested spec as JSON"),
-        ] },
+        ], requires: &[] },
     Command { name: "importance", operands: Operands::None, run: cmd_importance,
         about: "rank syscalls by how many apps require them",
         flags: &[
             ("--workload", "health|bench|suite", "(default: health)"),
             ("--apps", "N", "dataset size (default: 116)"),
-        ] },
-    Command { name: "trace", operands: Operands::Argv, run: cmd_trace, flags: &[],
+        ], requires: &[] },
+    Command { name: "trace", operands: Operands::Argv, run: cmd_trace, flags: &[], requires: &[],
         about: "trace a real binary with ptrace" },
 ];
 
@@ -443,9 +450,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             loupe_plan::Tier::from_label(t).ok_or_else(|| format!("sweep: unknown tier `{t}`"))
         })
         .transpose()?;
-    if tier.is_some() && matrix_oses.is_none() {
-        return Err("sweep: --tier needs --os or --all-os".into());
-    }
 
     let apps = select_apps(args)?;
 

@@ -500,7 +500,35 @@ fn misspelt_flags_exit_nonzero_before_touching_db_or_docs() {
         (&["query", "--offline", "--sumary", "--db", db], "--sumary"),
         (&["importance", "--hlep"], "--hlep"),
     ];
-    for (args, word) in misspelt {
+    // A flag read only beside another would otherwise be dropped: sweep
+    // without a transfer pass, or ask the daemon instead of `db`.
+    let orphaned: [(&[&str], &str); 5] = [
+        (
+            &["sweep", "--db", db, "--tier", "planned"],
+            "sweep: --tier needs --os or --all-os",
+        ),
+        (
+            &["sweep", "--db", db, "--min-agreement", "5"],
+            "sweep: --min-agreement needs --transfer",
+        ),
+        (
+            &["sweep", "--db", db, "--transfer-seed", "0"],
+            "sweep: --transfer-seed needs --transfer",
+        ),
+        (
+            &["query", "--db", db, "--os", "kerla", "--app", "redis"],
+            "query: --db needs --offline",
+        ),
+        (
+            &["query", "--summary", "--limit", "3"],
+            "query: --limit needs --missing",
+        ),
+    ];
+    let expected = misspelt
+        .iter()
+        .map(|&(args, word)| (args, format!("unknown flag `{word}`")))
+        .chain(orphaned.map(|(args, error)| (args, error.to_owned())));
+    for (args, error) in expected {
         let out = loupe()
             .args(args)
             .current_dir(&dir)
@@ -508,10 +536,7 @@ fn misspelt_flags_exit_nonzero_before_touching_db_or_docs() {
             .expect("spawn loupe");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} must fail");
-        assert!(
-            stderr.contains(&format!("unknown flag `{word}`")),
-            "{stderr}"
-        );
+        assert!(stderr.contains(&error), "{stderr}");
         assert_eq!(tree(&dir), before, "{args:?} touched the db or the docs");
     }
     std::fs::remove_dir_all(&dir).ok();

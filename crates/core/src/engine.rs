@@ -3,8 +3,6 @@
 //! merged (§3.1).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use loupe_apps::model::AppOutcome;
 use loupe_apps::{AppModel, Env, Exit, Workload};
@@ -39,8 +37,6 @@ pub enum PerfPolicy {
 pub struct AnalysisConfig {
     /// Number of replicated runs per measurement (paper default: 3).
     pub replicas: u32,
-    /// Run replicas on worker threads.
-    pub parallel: bool,
     /// Probe-scheduler workers for the per-feature stub/fake runs — the
     /// dominant cost term of §3.3's run-count formula. `1` (the default)
     /// probes serially; `0` picks `min(available_parallelism, 16)`.
@@ -77,7 +73,6 @@ impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
             replicas: 3,
-            parallel: false,
             jobs: 1,
             perf_epsilon: 0.03,
             perf_policy: PerfPolicy::Lenient,
@@ -108,7 +103,9 @@ impl AnalysisConfig {
 }
 
 /// Accounting of the analysis cost, matching §3.3's
-/// `(2 + 2·t·s)·⌈r/p⌉` run-count structure.
+/// `(2 + 2·t·s)·⌈r/p⌉` run-count structure. Replicas run serially
+/// (`p = 1`): the simulator is deterministic, so parallelism lives at
+/// the fleet level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunStats {
     /// Discovery + confirmation runs (the `2`), times replicas.
@@ -295,22 +292,9 @@ impl Engine {
         workload: Workload,
         policy: &Policy,
     ) -> Vec<RunResult> {
-        let r = self.cfg.replicas.max(1) as usize;
-        if self.cfg.parallel && r > 1 {
-            std::thread::scope(|scope| {
-                let replicas: Vec<_> = (0..r)
-                    .map(|_| scope.spawn(|| self.run_once(app, workload, policy)))
-                    .collect();
-                replicas
-                    .into_iter()
-                    .map(|h| h.join().expect("replica thread panicked"))
-                    .collect()
-            })
-        } else {
-            (0..r)
-                .map(|_| self.run_once(app, workload, policy))
-                .collect()
-        }
+        (0..self.cfg.replicas.max(1))
+            .map(|_| self.run_once(app, workload, policy))
+            .collect()
     }
 
     /// Evaluates replicated runs against the baseline; returns
@@ -366,11 +350,11 @@ impl Engine {
         (ok, impact)
     }
 
-    /// Executes probe jobs on a bounded worker pool (`cfg.jobs` threads;
+    /// Executes probe jobs on the worker pool (`cfg.jobs` threads;
     /// `0` = auto, `1` = serial). Each job is an independent replicated
     /// measurement against the shared baseline; results land in the slot
     /// of their job index, so the caller's merge order never depends on
-    /// the schedule.
+    /// the schedule. A panicking probe is re-raised with its own message.
     fn run_probes(
         &self,
         app: &dyn AppModel,
@@ -378,44 +362,14 @@ impl Engine {
         baseline: &Baseline,
         jobs: &[ProbeJob],
     ) -> Vec<ProbeOutcome> {
-        let probe = |job: &ProbeJob| {
+        crate::pool::run_jobs(self.cfg.jobs, jobs, |job| {
             let runs = self.run_replicas(app, workload, &job.policy);
             let (ok, impact) = self.judge(&runs, workload, baseline);
             ProbeOutcome { ok, impact }
-        };
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16);
-        let workers = match self.cfg.jobs {
-            0 => auto,
-            n => n,
-        }
-        .min(jobs.len());
-        if workers <= 1 {
-            return jobs.iter().map(probe).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<ProbeOutcome>>> =
-            Mutex::new((0..jobs.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else {
-                        break;
-                    };
-                    let outcome = probe(job);
-                    slots.lock().expect("probe slots poisoned")[i] = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("probe slots poisoned")
-            .into_iter()
-            .map(|o| o.expect("every probe ran"))
-            .collect()
+        })
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|panic| std::panic::resume_unwind(Box::new(panic))))
+        .collect()
     }
 
     /// Runs the full Loupe analysis for one application and workload.
@@ -1134,25 +1088,5 @@ mod tests {
         assert!(!merged["persistence"], "one broken replica wins");
         assert!(merged["reload"], "later-replica features included");
         assert_eq!(merged.len(), 3);
-    }
-
-    #[test]
-    fn parallel_replicas_agree_with_serial() {
-        let app = registry::find("weborf").unwrap();
-        let serial = Engine::new(AnalysisConfig {
-            replicas: 2,
-            parallel: false,
-            ..AnalysisConfig::fast()
-        })
-        .analyze(app.as_ref(), Workload::HealthCheck)
-        .unwrap();
-        let parallel = Engine::new(AnalysisConfig {
-            replicas: 2,
-            parallel: true,
-            ..AnalysisConfig::fast()
-        })
-        .analyze(app.as_ref(), Workload::HealthCheck)
-        .unwrap();
-        assert_eq!(serial.classes, parallel.classes);
     }
 }

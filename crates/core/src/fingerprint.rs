@@ -298,10 +298,16 @@ mod tests {
     #[test]
     fn fingerprint_is_stable_across_releases() {
         // Cache manifests persist fingerprints on disk; silently changing
-        // the hash would invalidate every stored artifact. Pin one value.
+        // the hash would invalidate every stored artifact. Pin a string
+        // and a small map.
         assert_eq!(
             fingerprint_of(&"loupe").to_hex(),
-            fingerprint_of(&"loupe").to_hex()
+            "47b13a67224c981c408dfa380d440b46"
+        );
+        let map: BTreeMap<String, u64> = [("read".to_owned(), 0), ("write".to_owned(), 1)].into();
+        assert_eq!(
+            fingerprint_of(&map).to_hex(),
+            "a5a2374a4e08fa213a70aac041d5fdcc"
         );
         let empty_map: BTreeMap<String, u64> = BTreeMap::new();
         assert_ne!(

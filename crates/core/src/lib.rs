@@ -18,7 +18,9 @@
 //! 4. everything is replicated `r` times and merged conservatively.
 //!
 //! The total number of runs is `(2 + 2·t·s)·⌈r/p⌉` in paper notation —
-//! tracked by [`engine::RunStats`] and asserted in tests.
+//! tracked by [`engine::RunStats`] and asserted in tests. Replicas run
+//! serially here (`p = 1`): the simulator is deterministic, so
+//! parallelism lives at the fleet level, in [`pool`].
 //!
 //! # Examples
 //!
@@ -38,6 +40,7 @@ pub mod exec;
 pub mod fingerprint;
 pub mod interpose;
 pub mod policy;
+pub mod pool;
 pub mod report;
 pub mod script;
 pub mod stats;

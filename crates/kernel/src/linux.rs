@@ -25,7 +25,7 @@ use crate::futex::{FutexTable, FUTEX_WAIT, FUTEX_WAKE};
 use crate::invocation::{Invocation, Payload, SysOutcome};
 use crate::limits::RlimitTable;
 use crate::mem::MemoryManager;
-use crate::net::{ConnId, HostPort, PipeTable};
+use crate::net::{HostPort, PipeTable};
 use crate::resources::ResourceUsage;
 use crate::signals::SignalState;
 use crate::vfs::Vfs;
@@ -1029,11 +1029,6 @@ impl LinuxSim {
     /// Writes a futex word (an app-side atomic store).
     pub fn set_futex_value(&mut self, addr: u64, val: u32) {
         self.futexes.set_value(addr, val);
-    }
-
-    /// Pre-populates a connected client, bypassing the host API (tests).
-    pub fn debug_connect(&mut self, port: u16) -> Option<ConnId> {
-        self.net.connect(port)
     }
 }
 

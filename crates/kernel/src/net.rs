@@ -94,11 +94,6 @@ impl HostPort {
         }
     }
 
-    /// Whether anyone is listening on `port`.
-    pub fn is_listening(&self, port: u16) -> bool {
-        self.listeners.contains_key(&port)
-    }
-
     /// Total response chunks queued towards clients (diagnostic).
     pub fn pending_responses(&self) -> usize {
         self.conns.values().map(|c| c.to_client.len()).sum()

@@ -337,11 +337,6 @@ impl<K: Kernel> RestrictedKernel<K> {
         &self.observations
     }
 
-    /// Borrow of the backing kernel (provisioning, diagnostics).
-    pub fn inner_mut(&mut self) -> &mut K {
-        &mut self.inner
-    }
-
     /// Consumes the wrapper, returning the backing kernel.
     pub fn into_inner(self) -> K {
         self.inner

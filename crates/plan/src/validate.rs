@@ -208,11 +208,6 @@ impl PlanValidator {
         PlanValidator::default()
     }
 
-    /// A validator with an explicit test script.
-    pub fn with_script(script: TestScript) -> PlanValidator {
-        PlanValidator { script }
-    }
-
     fn passes(&self, env: &ExecEnv, app: &dyn AppModel, workload: Workload) -> bool {
         let outcome: AppOutcome = run_app(env, app, workload);
         self.script.evaluate(&outcome, workload, None).success

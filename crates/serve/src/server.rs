@@ -319,16 +319,6 @@ impl Server {
         self.shared.requests.load(Ordering::Relaxed)
     }
 
-    /// Forces an index rebuild now (bypassing the watcher) — for tests
-    /// and tooling.
-    ///
-    /// # Errors
-    ///
-    /// Database errors while rebuilding.
-    pub fn rebuild_now(&self) -> Result<(), ServeError> {
-        self.shared.rebuild()
-    }
-
     /// Stops the daemon: listener and watcher threads exit;
     /// in-flight connection threads finish their current
     /// request/response and end with their client.

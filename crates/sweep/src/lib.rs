@@ -50,7 +50,6 @@
 pub mod gentests;
 pub mod matrix;
 pub mod plans;
-pub(crate) mod pool;
 pub(crate) mod rendered;
 pub mod report;
 pub(crate) mod stage;
@@ -80,13 +79,12 @@ use loupe_syscalls::{Category, Sysno};
 use stage::{Failed, Outcome, Stage};
 
 /// Fingerprint of the analysis configuration *as a measurement input*:
-/// scheduling-only knobs (probe-scheduler jobs, replica parallelism) are
-/// normalised out because every worker count produces byte-identical
-/// reports — changing parallelism must never invalidate stored results.
+/// the scheduling-only knob (probe-scheduler jobs) is normalised out
+/// because every worker count produces byte-identical reports —
+/// changing parallelism must never invalidate stored results.
 pub fn analysis_fingerprint(cfg: &AnalysisConfig) -> Fingerprint {
     let mut canonical = cfg.clone();
     canonical.jobs = 0;
-    canonical.parallel = false;
     fingerprint_of(&canonical)
 }
 
@@ -762,18 +760,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// An app model whose `run` panics — the regression fixture for the
-    /// pool's panic isolation.
-    struct PanickingApp;
+    /// An app model that panics — the regression fixture for the pool's
+    /// panic isolation. It panics on every run, or (`in_probe`) only
+    /// when a probe stubs the one system call it makes, so that its
+    /// discovery run passes.
+    struct PanickingApp {
+        in_probe: bool,
+    }
 
     impl loupe_apps::AppModel for PanickingApp {
         fn name(&self) -> &str {
-            "panicking-app"
+            if self.in_probe {
+                "probe-panicking-app"
+            } else {
+                "panicking-app"
+            }
         }
 
         fn spec(&self) -> loupe_apps::AppSpec {
             loupe_apps::AppSpec {
-                name: "panicking-app".into(),
+                name: self.name().into(),
                 version: "0".into(),
                 year: 2024,
                 port: None,
@@ -784,10 +790,14 @@ mod tests {
 
         fn run(
             &self,
-            _env: &mut loupe_apps::Env<'_>,
+            env: &mut loupe_apps::Env<'_>,
             _workload: Workload,
         ) -> Result<(), loupe_apps::Exit> {
-            panic!("deliberate model bug");
+            assert!(self.in_probe, "deliberate model bug");
+            let stubbed = env.sys0(Sysno::getpid).errno() == Some(loupe_syscalls::Errno::ENOSYS);
+            assert!(!stubbed, "deliberate probe bug");
+            env.record_response();
+            Ok(())
         }
 
         fn code(&self) -> loupe_apps::AppCode {
@@ -796,30 +806,61 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_model_fails_its_app_not_the_sweep() {
-        let dir = tmpdir("panic");
-        let db = Database::open(&dir).unwrap();
-        let mut apps: Vec<Box<dyn AppModel>> = vec![Box::new(PanickingApp)];
-        apps.extend(registry::detailed().into_iter().take(3));
+    fn analysis_fingerprint_is_pinned() {
+        // Every stored baseline's `config` input is this fingerprint:
+        // editing `AnalysisConfig`'s fields (adding, removing or renaming
+        // one) moves every baseline key, and the next sweep re-measures
+        // the whole fleet once.
+        assert_eq!(
+            analysis_fingerprint(&AnalysisConfig::fast()).to_hex(),
+            "9888d908fe57464ac95a32fc09aa0cd2"
+        );
+    }
 
-        let summary = health_sweep(2).run(&db, apps).unwrap();
-        assert_eq!(summary.analyzed, 3, "healthy apps still measured");
-        assert_eq!(summary.failures.len(), 1);
-        let failure = &summary.failures[0];
-        assert_eq!(failure.app, "panicking-app", "failure names the app");
-        assert!(
-            failure.error.contains("deliberate model bug"),
-            "panic message surfaced: {}",
-            failure.error
-        );
-        assert!(
-            !db.contains(
-                &store::BASELINES,
-                &loupe_db::baseline_key("panicking-app", Workload::HealthCheck)
-            ),
-            "nothing persisted for the panicked app"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    #[test]
+    fn a_panicking_model_fails_its_app_not_the_sweep() {
+        // A panic inside a probe that runs on the probe pool (`jobs: 2`)
+        // must surface with the model's own message, as one in the
+        // discovery run does.
+        for (in_probe, jobs, message) in [
+            (false, 1, "deliberate model bug"),
+            (true, 2, "deliberate probe bug"),
+        ] {
+            let dir = tmpdir(if in_probe { "probe-panic" } else { "panic" });
+            let db = Database::open(&dir).unwrap();
+            let mut apps: Vec<Box<dyn AppModel>> = vec![Box::new(PanickingApp { in_probe })];
+            apps.extend(registry::detailed().into_iter().take(3));
+            let name = apps[0].name().to_owned();
+
+            let summary = Sweep::new(SweepConfig {
+                workloads: vec![Workload::HealthCheck],
+                workers: 2,
+                analysis: AnalysisConfig {
+                    jobs,
+                    ..AnalysisConfig::fast()
+                },
+                ..SweepConfig::default()
+            })
+            .run(&db, apps)
+            .unwrap();
+            assert_eq!(summary.analyzed, 3, "healthy apps still measured");
+            assert_eq!(summary.failures.len(), 1);
+            let failure = &summary.failures[0];
+            assert_eq!(failure.app, name, "failure names the app");
+            assert!(
+                failure.error.contains(message),
+                "panic message surfaced: {}",
+                failure.error
+            );
+            assert!(
+                !db.contains(
+                    &store::BASELINES,
+                    &loupe_db::baseline_key(&name, Workload::HealthCheck)
+                ),
+                "nothing persisted for the panicked app"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use loupe_apps::Workload;
 use loupe_core::Fingerprint;
 use loupe_db::{Artifact, ArtifactRecord, Database, DbError, Decision, Derive, Namespace};
 
-use crate::{pool, SweepFailure};
+use crate::SweepFailure;
 
 type Meta = BTreeMap<String, String>;
 
@@ -120,7 +120,7 @@ impl<'a, T: Artifact> Stage<'a, T> {
         accept: impl Fn(&ArtifactRecord) -> Option<H> + Sync,
         derive: impl Fn(&Job<J>, Derive) -> Result<O, Failed<E>> + Sync,
     ) -> Vec<Result<Outcome<H, O>, Failed<E>>> {
-        pool::run_jobs(self.workers, jobs, |job| {
+        loupe_core::pool::run_jobs(self.workers, jobs, |job| {
             let gate = self
                 .db
                 .classify(self.ns, &job.key, &job.inputs, self.force, &accept);

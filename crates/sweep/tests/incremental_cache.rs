@@ -8,7 +8,7 @@
 //!    was not rewritten.
 //! 2. **Determinism** — the rendered OS matrix and conformance docs
 //!    are byte-identical across worker counts (1, 2, 8) and across
-//!    cold-vs-warm runs, so caching and work-stealing never leak into
+//!    cold-vs-warm runs, so caching and scheduling never leak into
 //!    the generated documentation.
 //! 3. **Gated outputs** — a warm `report::check` and
 //!    `compare_output` decode no artifact, and every change to their
